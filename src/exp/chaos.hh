@@ -88,17 +88,6 @@ struct ChaosOptions
 ChaosPointResult runChaosPoint(const SweepPoint &point,
                                const std::string &preset);
 
-/**
- * Canonical serialization of one pair outcome, exactly the element of
- * ChaosReport::toJson()'s "points" array. Public so the svc checkpoint
- * journal can store per-pair payloads that merge byte-identically. @{
- */
-Json chaosPointToJson(const ChaosPointResult &result);
-
-/** Parse a journaled pair payload back (fatal() on a malformed one). */
-ChaosPointResult chaosPointFromJson(const Json &doc);
-/** @} */
-
 /** Run the property over every point of @p grid. */
 ChaosReport runChaos(const Grid &grid, const ChaosOptions &options = {});
 

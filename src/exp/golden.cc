@@ -108,6 +108,9 @@ compareToGolden(const Json &actual, const Json &golden,
         return diff;
     }
 
+    // An absent metrics object compares as an empty one, so a metric on
+    // either side alone is a divergence.
+    const Json none = Json::object();
     for (const Json &golden_job : want->elements()) {
         const Json *jid = golden_job.find("id");
         const std::string id =
@@ -137,8 +140,10 @@ compareToGolden(const Json &actual, const Json &golden,
 
         const Json *want_metrics = golden_job.find("metrics");
         const Json *have_metrics = actual_job->find("metrics");
-        if (!want_metrics || !have_metrics)
-            continue;
+        if (!want_metrics)
+            want_metrics = &none;
+        if (!have_metrics)
+            have_metrics = &none;
         for (const auto &[metric, expected] : want_metrics->pairs()) {
             const Json *got = have_metrics->find(metric);
             if (!got || !got->isNumber()) {
@@ -159,6 +164,26 @@ compareToGolden(const Json &actual, const Json &golden,
                               got->asNumber(), tol));
             }
         }
+        // Strict in both directions: a metric the golden does not pin
+        // is a schema change that needs a deliberate re-pin.
+        for (const auto &[metric, value] : have_metrics->pairs()) {
+            (void)value;
+            if (!want_metrics->find(metric)) {
+                firstDivergence(diff, grid_name, id,
+                                strprintf("metric %s: in the new results "
+                                          "but missing from the golden",
+                                          metric.c_str()));
+            }
+        }
+    }
+    for (const Json &actual_job : have->elements()) {
+        const Json *jid = actual_job.find("id");
+        const std::string id =
+            jid && jid->isString() ? jid->asString() : "<missing id>";
+        if (!findJob(*want, id))
+            firstDivergence(diff, grid_name, id,
+                            "in the new results but missing from the "
+                            "golden");
     }
 
     if (diff.divergences > 1) {

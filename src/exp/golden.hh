@@ -13,6 +13,11 @@
  *    allow 1e-9 relative error, absorbing only cross-platform
  *    accumulation differences, never model changes.
  *
+ * The match is strict in both directions: a job or metric present in
+ * the results but absent from the golden is a divergence too, so a new
+ * metric (say, a fault counter that starts moving on a fault-free run)
+ * cannot slip past unpinned.
+ *
  * The report names the first divergent (job, metric) pair with expected
  * and actual values, then summarizes the total divergence count, so a
  * perturbed baseline fails CI loudly and readably.

@@ -115,8 +115,8 @@ SweepRunner::runIndices(const Grid &grid,
                 // Locate the failure for whoever reads the results
                 // document: a timeout/watchdog message alone does not say
                 // which job died (the machine knows nothing of the grid).
-                // The annotation uses the grid-global index and total, so
-                // a sharded run reports identically to a whole-grid run.
+                // The annotation uses the grid index and total, so a
+                // resumed run reports identically to a whole-grid run.
                 results[i].error = strprintf(
                     "grid '%s' point %zu of %zu (%s, seed %llu): %s",
                     grid.name.c_str(), index, gridTotal,
@@ -130,8 +130,7 @@ SweepRunner::runIndices(const Grid &grid,
                 // Serialized: journal-style sinks append without locking.
                 std::lock_guard<std::mutex> lock(reportMutex);
                 try {
-                    if (!on_complete(index, results[i]))
-                        stop.store(true, std::memory_order_relaxed);
+                    on_complete(index, results[i]);
                 } catch (...) {
                     if (!sinkError)
                         sinkError = std::current_exception();

@@ -64,14 +64,14 @@ struct SweepOptions
 
 /**
  * Per-job completion sink: called once per finished job with the job's
- * grid-global point index. Calls are serialized (one at a time, under a
- * lock), so a sink may append to a checkpoint journal without its own
+ * grid index. Calls are serialized (one at a time, under a lock), so a
+ * sink may append to a checkpoint journal without its own
  * synchronization; completion ORDER is scheduling-dependent, so a sink
- * must never bake it into canonical output (the svc merge step orders by
- * index). Return false to stop scheduling new jobs -- jobs already in
- * flight still complete and are still reported.
+ * must never bake it into canonical output (exp::runJournaled orders by
+ * index). A sink that throws stops the sweep: jobs in flight complete,
+ * no new ones start, and runIndices rethrows the first exception.
  */
-using JobSink = std::function<bool(std::size_t, const JobResult &)>;
+using JobSink = std::function<void(std::size_t, const JobResult &)>;
 
 /** Thread-pool sweep runner. */
 class SweepRunner
@@ -83,11 +83,11 @@ class SweepRunner
     std::vector<JobResult> run(const Grid &grid) const;
 
     /**
-     * Run only the points of @p grid named by @p indices (the shard-aware
-     * entry point: a shard is a subset of grid-global indices). Results
+     * Run only the points of @p grid named by @p indices (the resume
+     * entry point: the points a journal does not yet hold). Results
      * come back in @p indices order; failure annotations name the
-     * grid-global index out of the full grid size, so a sharded run's
-     * error strings are byte-identical to a whole-grid run's.
+     * grid index out of the full grid size, so a resumed run's error
+     * strings are byte-identical to a whole-grid run's.
      */
     std::vector<JobResult>
     runIndices(const Grid &grid, const std::vector<std::size_t> &indices,
@@ -138,9 +138,9 @@ SweepOutcomes runGrid(const Grid &grid, SweepOptions options = {});
 
 /**
  * Canonical serialization of one job, exactly the element the
- * "mcsim-sweep-v1" document's grid arrays hold. Public so the svc
- * checkpoint journal can store -- and the merge step can splice --
- * byte-identical payloads. @{
+ * "mcsim-sweep-v1" document's grid arrays hold. Public so the
+ * checkpoint journal (exp/journal.hh) can store byte-identical
+ * payloads and assemble documents from them. @{
  */
 Json jobToJson(const JobResult &job);
 

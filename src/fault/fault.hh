@@ -36,8 +36,7 @@ namespace mcsim::fault
  * on: each call advances a global nonce and folds (seed, site, nonce)
  * through splitmix64, so a plan's answers are a pure function of its
  * seed and its own query order -- never of wall clock or scheduling.
- * Shared by the machine-level FaultPlan below and the process-level
- * plan in src/svc/chaos_svc.hh.
+ * The FaultPlan below draws every decision from one.
  */
 class DecisionChain
 {

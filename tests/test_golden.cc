@@ -13,6 +13,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,19 +108,56 @@ TEST(Golden, TraceQuickGridMatchesCommittedBaseline)
 
 TEST(Golden, PerturbedBaselineNamesFirstDivergentMetric)
 {
+    // Each perturbation of the committed baseline must fail and name
+    // the job and the metric: a drifted value, and a metric the results
+    // carry but the golden does not pin.
+    struct Case
+    {
+        const char *metric;
+        bool dropFromGolden;
+    };
+    for (const Case c :
+         {Case{"cycles", false}, Case{"faultsInjected", true}}) {
+        exp::Json golden = loadGolden();
+        exp::Json &job = golden["grids"]["quick"].elements().at(0);
+        const std::string id = job["id"].asString();
+        exp::Json &metrics = job["metrics"];
+        if (c.dropFromGolden) {
+            exp::Json kept = exp::Json::object();
+            for (const auto &[name, value] : metrics.pairs())
+                if (name != c.metric)
+                    kept[name] = value;
+            metrics = std::move(kept);
+        } else {
+            metrics[c.metric] =
+                exp::Json(metrics[c.metric].asNumber() + 1);
+        }
+
+        const exp::GoldenDiff diff = exp::compareToGolden(
+            quickOutcomes().toJson(), golden, "quick");
+        EXPECT_FALSE(diff.ok) << c.metric;
+        EXPECT_EQ(diff.divergences, 1u) << diff.report;
+        EXPECT_NE(diff.report.find(c.metric), std::string::npos)
+            << diff.report;
+        EXPECT_NE(diff.report.find(id), std::string::npos) << diff.report;
+    }
+}
+
+TEST(Golden, JobMissingFromGoldenFailsLoudly)
+{
     exp::Json golden = loadGolden();
-    exp::Json &job = golden["grids"]["quick"].elements().at(0);
-    const std::string id = job["id"].asString();
-    job["metrics"]["cycles"] =
-        exp::Json(job["metrics"]["cycles"].asNumber() + 1);
+    std::vector<exp::Json> &jobs = golden["grids"]["quick"].elements();
+    const std::string id = jobs.back()["id"].asString();
+    jobs.pop_back();
 
     const exp::GoldenDiff diff =
         exp::compareToGolden(quickOutcomes().toJson(), golden, "quick");
     EXPECT_FALSE(diff.ok);
-    EXPECT_GE(diff.divergences, 1u);
-    EXPECT_NE(diff.report.find("cycles"), std::string::npos)
-        << diff.report;
+    EXPECT_EQ(diff.divergences, 1u) << diff.report;
     EXPECT_NE(diff.report.find(id), std::string::npos) << diff.report;
+    EXPECT_NE(diff.report.find("missing from the golden"),
+              std::string::npos)
+        << diff.report;
 }
 
 TEST(Golden, TolerancePolicy)

@@ -193,8 +193,10 @@ lex(std::string path, std::string source)
                     i = n;
                     continue;
                 }
-                std::string closer = ")" +
-                    src.substr(dStart, paren - dStart) + "\"";
+                // Built by append: GCC 12 at -O3 reports a false
+                // -Wrestrict inside a literal-plus-string operator+.
+                std::string closer = ")";
+                closer.append(src, dStart, paren - dStart).append("\"");
                 std::size_t end = src.find(closer, paren + 1);
                 end = end == std::string::npos ? n : end + closer.size();
                 out.tokens.push_back(

@@ -10,6 +10,7 @@
  *                [--check DIR] [--golden-out DIR]
  *                [--procs N] [--cache-bytes N] [--line-bytes N]
  *                [--faults PRESET] [--chaos]
+ *                [--journal DIR [--resume]]
  *                [--list] [--no-progress]
  *
  * Defaults: --grid quick, --threads hardware, --out
@@ -29,8 +30,17 @@
  * overrides -- is validated before any job runs, so a typo fails in
  * milliseconds with one actionable line instead of mid-sweep.
  *
+ * --journal DIR checkpoints every completed point to DIR/<grid>.mcsj
+ * (src/exp/journal.hh) and assembles the results from the journal, so
+ * the document and CSV are byte-identical to a run without it. After a
+ * crash or kill, the same command plus --resume runs only the points
+ * the journal lacks and converges to the same bytes. An existing
+ * journal without --resume is refused: its fingerprint covers the
+ * flags, not the binary, so continuing one must be asked for.
+ *
  * Exit status: 0 all jobs ok (and all checks clean), 1 on any failed
- * job, golden divergence, or chaos failure, 2 on usage/config errors.
+ * job, golden divergence, chaos failure, or journal/I/O error, 2 on
+ * usage/config errors.
  */
 
 #include <cstdio>
@@ -43,11 +53,11 @@
 #include "exp/chaos.hh"
 #include "exp/golden.hh"
 #include "exp/grid.hh"
+#include "exp/journal.hh"
 #include "exp/sweep.hh"
 #include "fault/fault_config.hh"
 #include "mem/cache.hh"
 #include "sim/logging.hh"
-#include "svc/atomic_file.hh"
 
 #include "../common/cli.hh"
 
@@ -68,6 +78,8 @@ struct Options
     std::string goldenOut;
     std::string faults;
     bool chaos = false;
+    std::string journalDir;
+    bool resume = false;
     unsigned procs = 0;
     unsigned cacheBytes = 0;
     unsigned lineBytes = 0;
@@ -90,7 +102,8 @@ usage(const char *argv0)
         "          [--threads N] [--out FILE] [--csv FILE]\n"
         "          [--check DIR] [--golden-out DIR]\n"
         "          [--procs N] [--cache-bytes N] [--line-bytes N]\n"
-        "          [--faults PRESET] [--chaos] [--list] [--no-progress]\n"
+        "          [--faults PRESET] [--chaos]\n"
+        "          [--journal DIR [--resume]] [--list] [--no-progress]\n"
         "  --grid        grid(s) to run: %s, or all (default: quick)\n"
         "  --scale       problem/cache scale for the paper grids\n"
         "                (default scaled; the quick grid is always quick)\n"
@@ -110,6 +123,10 @@ usage(const char *argv0)
         "  --chaos       run the fault-transparency chaos harness instead\n"
         "                of a plain sweep (preset from --faults, default\n"
         "                standard)\n"
+        "  --journal     checkpoint each point to DIR/<grid>.mcsj; output\n"
+        "                is byte-identical to a run without it\n"
+        "  --resume      continue existing journals, running only the\n"
+        "                points they lack\n"
         "  --list        print the known grid names and exit\n",
         argv0, names.c_str(), presets.c_str());
 }
@@ -190,6 +207,10 @@ parseArgs(int argc, char **argv)
             opt.faults = next();
         } else if (arg == "--chaos") {
             opt.chaos = true;
+        } else if (arg == "--journal") {
+            opt.journalDir = next();
+        } else if (arg == "--resume") {
+            opt.resume = true;
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--no-progress") {
@@ -218,10 +239,18 @@ configError(const std::string &message)
     std::exit(2);
 }
 
+/** Where --journal keeps @p grid's checkpoint journal. */
+std::string
+journalPath(const Options &opt, const std::string &grid)
+{
+    return opt.journalDir + "/" + grid + ".mcsj";
+}
+
 /**
- * Name and geometry validation: every grid name, the fault preset, and
- * the geometry overrides. Runs before the --list early exit too, so
- * `--list --faults bogus` fails the same way a real run would.
+ * Name and geometry validation: every grid name, the fault preset, the
+ * geometry overrides, and the journal flags. Runs before the --list
+ * early exit too, so `--list --faults bogus` fails the same way a real
+ * run would.
  */
 void
 validateConfig(const Options &opt)
@@ -247,6 +276,22 @@ validateConfig(const Options &opt)
                 presets += (presets.empty() ? "" : "/") + p;
             configError(strprintf("unknown fault preset '%s' (try %s)",
                                   preset.c_str(), presets.c_str()));
+        }
+    }
+    if (opt.resume && opt.journalDir.empty())
+        configError("--resume requires --journal DIR (the directory of "
+                    "the journals to continue)");
+    if (!opt.journalDir.empty() && opt.chaos)
+        configError("--journal does not apply to --chaos (the chaos "
+                    "harness runs unjournaled; drop one of the two)");
+    if (!opt.journalDir.empty() && !opt.resume) {
+        for (const std::string &name : opt.grids) {
+            const std::string path = journalPath(opt, name);
+            if (exp::fileExists(path))
+                configError(strprintf(
+                    "journal '%s' exists; pass --resume to continue it "
+                    "or remove it to start over",
+                    path.c_str()));
         }
     }
     if (opt.procs && !isPowerOf2(opt.procs))
@@ -308,7 +353,7 @@ buildGrids(const Options &opt)
 }
 
 /**
- * Atomic results write (svc::writeFileAtomic: temp + rename), so an
+ * Atomic results write (exp::writeFileAtomic: temp + rename), so an
  * interrupted run never leaves a truncated document where a complete
  * one is expected.
  */
@@ -316,7 +361,7 @@ bool
 writeFile(const std::string &path, const std::string &content)
 {
     try {
-        svc::writeFileAtomic(path, content);
+        exp::writeFileAtomic(path, content);
         return true;
     } catch (const FatalError &err) {
         std::fprintf(stderr, "sweep_runner: %s\n", err.what());
@@ -354,6 +399,77 @@ runChaosMode(const Options &opt, const std::vector<exp::Grid> &grids)
     return all_ok ? 0 : 1;
 }
 
+/** A finished sweep in canonical form, however it was run. */
+struct SweepDoc
+{
+    exp::Json doc;
+    /** Empty unless --csv was given. */
+    std::string csv;
+};
+
+/** The per-grid banner on stderr. */
+void
+announce(const Options &opt, const exp::Grid &grid)
+{
+    std::fprintf(stderr, "grid %s: %zu jobs on %u thread(s)\n",
+                 grid.name.c_str(), grid.points.size(),
+                 opt.threads ? opt.threads
+                             : std::thread::hardware_concurrency());
+}
+
+SweepDoc
+runSweep(const Options &opt, const std::vector<exp::Grid> &grids)
+{
+    exp::SweepOutcomes outcomes;
+    for (const exp::Grid &grid : grids) {
+        announce(opt, grid);
+        outcomes.add(grid, exp::SweepRunner({opt.threads, opt.progress})
+                               .run(grid));
+    }
+    return {outcomes.toJson(), opt.csv.empty() ? "" : outcomes.toCsv()};
+}
+
+/**
+ * The --journal path: each grid runs through exp::runJournaled, and the
+ * document and CSV are assembled from the journal payloads in grid
+ * order -- the same bytes SweepOutcomes would serialize.
+ */
+SweepDoc
+runJournaledSweep(const Options &opt, const std::vector<exp::Grid> &grids)
+{
+    exp::ensureDirectory(opt.journalDir);
+    exp::Json by_grid = exp::Json::object();
+    std::string csv = exp::csvHeader();
+    for (const exp::Grid &grid : grids) {
+        announce(opt, grid);
+        exp::JournaledRun run =
+            exp::runJournaled(grid, journalPath(opt, grid.name),
+                              {opt.threads, opt.progress});
+        if (opt.resume)
+            std::printf("journal %s: %zu/%zu point(s) resumed\n",
+                        grid.name.c_str(), run.resumed,
+                        grid.points.size());
+        exp::Json jobs = exp::Json::array();
+        for (exp::Json &job : run.jobs) {
+            csv += exp::csvRowFromJson(grid.name, job);
+            jobs.push(std::move(job));
+        }
+        by_grid[grid.name] = std::move(jobs);
+    }
+    exp::Json doc = exp::Json::object();
+    doc["schema"] = exp::Json("mcsim-sweep-v1");
+    doc["grids"] = std::move(by_grid);
+    return {std::move(doc), opt.csv.empty() ? "" : std::move(csv)};
+}
+
+/** The string field @p name of @p job, or "" when absent. */
+std::string
+jobField(const exp::Json &job, const char *name)
+{
+    const exp::Json *value = job.find(name);
+    return value != nullptr && value->isString() ? value->asString() : "";
+}
+
 } // namespace
 
 int
@@ -371,28 +487,25 @@ main(int argc, char **argv)
     if (opt.chaos)
         return runChaosMode(opt, grids);
 
-    exp::SweepOutcomes outcomes;
-    for (const exp::Grid &grid : grids) {
-        std::fprintf(stderr, "grid %s: %zu jobs on %u thread(s)\n",
-                     grid.name.c_str(), grid.points.size(),
-                     opt.threads ? opt.threads
-                                 : std::thread::hardware_concurrency());
-        exp::SweepOptions sweep_opts;
-        sweep_opts.threads = opt.threads;
-        sweep_opts.progress = opt.progress;
-        outcomes.add(grid, exp::SweepRunner(sweep_opts).run(grid));
+    SweepDoc result;
+    try {
+        result = opt.journalDir.empty() ? runSweep(opt, grids)
+                                        : runJournaledSweep(opt, grids);
+    } catch (const FatalError &err) {
+        // Journal and I/O failures: the message names the file.
+        std::fprintf(stderr, "sweep_runner: %s\n", err.what());
+        return 1;
     }
-
-    const exp::Json doc = outcomes.toJson();
+    const exp::Json &doc = result.doc;
     if (!opt.out.empty() && !writeFile(opt.out, doc.dump() + "\n"))
         return 1;
-    if (!opt.csv.empty() && !writeFile(opt.csv, outcomes.toCsv()))
+    if (!opt.csv.empty() && !writeFile(opt.csv, result.csv))
         return 1;
     if (!opt.goldenOut.empty()) {
         // One self-contained document per grid, the format --check
         // consumes.
         const exp::Json *grid_docs = doc.find("grids");
-        for (const std::string &name : outcomes.gridsRun()) {
+        for (const std::string &name : opt.grids) {
             exp::Json gdoc = exp::Json::object();
             gdoc["schema"] = exp::Json("mcsim-sweep-v1");
             exp::Json one = exp::Json::object();
@@ -410,7 +523,7 @@ main(int argc, char **argv)
 
     bool check_ok = true;
     if (!opt.checkDir.empty()) {
-        for (const std::string &name : outcomes.gridsRun()) {
+        for (const std::string &name : opt.grids) {
             const exp::GoldenDiff diff =
                 exp::checkAgainstGoldenDir(doc, opt.checkDir, name);
             std::fputs(diff.report.c_str(), stdout);
@@ -418,17 +531,21 @@ main(int argc, char **argv)
         }
     }
 
-    const std::size_t failed = outcomes.failedJobs();
-    std::printf("sweep_runner: %zu/%zu job(s) ok%s\n",
-                outcomes.totalJobs() - failed, outcomes.totalJobs(),
-                check_ok ? "" : ", golden check FAILED");
-    if (failed) {
-        for (const std::string &name : outcomes.gridsRun())
-            for (const exp::JobResult &job : outcomes.gridResults(name))
-                if (!job.ok)
-                    std::printf("  FAILED %s: %s\n",
-                                job.point.id().c_str(),
-                                job.error.c_str());
+    std::size_t total = 0;
+    std::vector<std::string> failures;
+    for (const std::string &name : opt.grids) {
+        for (const exp::Json &job :
+             doc.find("grids")->find(name)->elements()) {
+            ++total;
+            if (jobField(job, "status") != "ok")
+                failures.push_back(jobField(job, "id") + ": " +
+                                   jobField(job, "error"));
+        }
     }
+    const std::size_t failed = failures.size();
+    std::printf("sweep_runner: %zu/%zu job(s) ok%s\n", total - failed,
+                total, check_ok ? "" : ", golden check FAILED");
+    for (const std::string &failure : failures)
+        std::printf("  FAILED %s\n", failure.c_str());
     return failed == 0 && check_ok ? 0 : 1;
 }
