@@ -56,9 +56,18 @@ runMicro(const core::MachineConfig &cfg)
 
 } // namespace
 
+/** Report @p events executed over the whole run as an events/s rate. */
+static void
+setEventRate(benchmark::State &state, std::uint64_t events)
+{
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+
 static void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
+    std::uint64_t events = 0;
     for (auto _ : state) {
         EventQueue q;
         int sink = 0;
@@ -66,9 +75,42 @@ BM_EventQueueScheduleRun(benchmark::State &state)
             q.schedule(static_cast<Tick>(i % 97), [&sink]() { ++sink; });
         q.run();
         benchmark::DoNotOptimize(sink);
+        events += q.executed();
     }
+    setEventRate(state, events);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/** 64 self-rescheduling actors whose delays fall on both sides of the
+ *  calendar ring's window, so the far-heap path is timed too. */
+static void
+BM_EventQueueMixedDelays(benchmark::State &state)
+{
+    static constexpr Tick delays[] = {1, 2, 3, 7, 18, 40, 150, 300, 700, 2000};
+    struct Actor
+    {
+        EventQueue *q;
+        unsigned *turn;
+        void
+        operator()() const
+        {
+            const Tick delay = delays[(*turn)++ % std::size(delays)];
+            q->scheduleIn(delay, *this, static_cast<int>(delay % 3));
+        }
+    };
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        EventQueue q;
+        unsigned turn = 0;
+        for (int i = 0; i < 64; ++i)
+            q.scheduleIn(static_cast<Tick>(i), Actor{&q, &turn});
+        q.run(4096);
+        benchmark::DoNotOptimize(turn);
+        events += q.executed();
+    }
+    setEventRate(state, events);
+}
+BENCHMARK(BM_EventQueueMixedDelays);
 
 static void
 BM_TopologyRoute(benchmark::State &state)

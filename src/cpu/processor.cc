@@ -191,8 +191,9 @@ Processor::beginOp(const Op &op, std::coroutine_handle<> h)
             procStats.useStallCycles += tok.ready - now;
             chargeStall(obs::StallCause::LoadMiss, now, tok.ready);
             const std::uint64_t value = tok.value;
+            const Tick ready = tok.ready;
             tokens.erase(it);
-            finishAt(tok.ready, value);
+            finishAt(ready, value);
         } else {
             active->wait = WaitKind::Register;
             active->waitStart = now;

@@ -476,7 +476,7 @@ MemoryModule::finish(Addr line_addr, Tick reply_tick, bool owner_shares)
             if (checker)
                 checker->onDirectoryEvent(moduleId, line_addr);
 
-            std::deque<Waiter> waiters = std::move(txn.waiters);
+            std::vector<Waiter> waiters = std::move(txn.waiters);
             txns.erase(line_addr);
             if (chooser && !waiters.empty()) {
                 // DirService choice point: which parked waiter the

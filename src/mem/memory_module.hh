@@ -19,7 +19,6 @@
 #define MCSIM_MEM_MEMORY_MODULE_HH
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 #include <string>
@@ -189,7 +188,7 @@ class MemoryModule
         unsigned acksLeft = 0;
         bool memReadDone = false;
         Tick dataReadyTick = 0;
-        std::deque<Waiter> waiters;  ///< blocked requests for this line
+        std::vector<Waiter> waiters;  ///< blocked requests for this line
     };
 
     /** Reserve the DRAM for a read; returns the first-word tick. */
