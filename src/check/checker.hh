@@ -120,8 +120,8 @@ class Checker
     unsigned warningsEmitted = 0;
     /** Per-line highest grant sequence number seen on a mem->proc data
      *  reply; grants must never go backwards (equal is legal: the
-     *  hardened protocol re-grants idempotently to the registered
-     *  owner without bumping the sequence). */
+     *  directory re-grants idempotently to the registered owner without
+     *  bumping the sequence). */
     std::unordered_map<Addr, std::uint32_t> grantSeqHigh;
 };
 

@@ -145,7 +145,6 @@ Machine::Machine(const MachineConfig &config) : cfg(config)
               case mem::MsgKind::Invalidate:
               case mem::MsgKind::RecallShared:
               case mem::MsgKind::RecallExclusive:
-              case mem::MsgKind::WbAck:
                 return false;
             }
             return false;  // not reached: all kinds enumerated above
@@ -246,10 +245,6 @@ Machine::diagnosticSnapshot() const
                 m.replyReceived ? ", reply received" : "",
                 static_cast<unsigned long long>(m.issueTick), m.attempts);
         }
-        if (caches[p]->pendingWritebacks() > 0) {
-            out += strprintf("    %zu writebacks awaiting WbAck\n",
-                             caches[p]->pendingWritebacks());
-        }
     }
     for (unsigned m = 0; m < cfg.numModules; ++m) {
         if (modules[m]->openTransactions() == 0 &&
@@ -333,10 +328,25 @@ Machine::run()
         // duplicates, and retry timers still in flight; drain them so the
         // final audit and the chaos fingerprint see the quiesced protocol,
         // not a mid-flight window. (Terminates: every pending retry timer
-        // no-ops against its completed MSHR and nothing re-arms.) Fault-off
-        // runs keep the legacy stop tick so goldens see zero drift.
+        // no-ops against its completed MSHR and nothing re-arms.) Fault-free
+        // runs stop at their last retirement, as the goldens pin.
         while (!queue.empty())
             queue.run(1 << 16);
+    } else {
+        // Without injected faults no message is lost, duplicated or
+        // reordered past its revocation, so the protocol must never have
+        // discarded one: a discard here is a protocol bug.
+        std::uint64_t discarded = 0;
+        for (const auto &c : caches)
+            discarded += c->stats().staleReplies;
+        for (const auto &m : modules)
+            discarded += m->stats().staleMessages;
+        if (discarded > 0) {
+            fatal("protocol discarded %llu stale message(s) on a fault-free "
+                  "run\n%s",
+                  static_cast<unsigned long long>(discarded),
+                  diagnosticSnapshot().c_str());
+        }
     }
     if (checkerPtr)
         checkerPtr->finalAudit();

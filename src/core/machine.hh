@@ -101,10 +101,10 @@ class Machine
     /**
      * Multi-line dump of where every in-flight piece of work sits:
      * per-processor retirement/outstanding-ref/stall state, busy MSHRs
-     * with their retry attempts, writeback limbo, outbox and interface
-     * buffer occupancy, open directory transactions, fault-injection
-     * counters and the tail of the event-trace ring. Attached to the
-     * deadlock / watchdog / maxCycles fatal()s.
+     * with their retry attempts, outbox and interface buffer occupancy,
+     * open directory transactions, fault-injection counters and the tail
+     * of the event-trace ring. Attached to the deadlock / watchdog /
+     * maxCycles / fault-free-discard fatal()s.
      */
     std::string diagnosticSnapshot() const;
 

@@ -76,7 +76,7 @@ struct MachineConfig
     obs::ObsConfig obs;
 
     /** Fault injection (src/fault/): off by default (perfect hardware,
-     *  legacy protocol paths, zero golden drift). The forward-progress
+     *  no retry timers, zero golden drift). The forward-progress
      *  watchdog inside is armed regardless of fault.enable. */
     fault::FaultConfig fault;
 

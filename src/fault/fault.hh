@@ -107,7 +107,7 @@ struct FaultAction
 /**
  * The per-machine fault oracle. Owned by Machine; caches, modules and
  * the network filter lambdas hold a plain pointer (nullptr = perfect
- * hardware, legacy protocol paths).
+ * hardware: nothing injected, no retry timers).
  */
 class FaultPlan
 {

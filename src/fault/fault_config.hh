@@ -8,12 +8,13 @@
  * sweep thread count -- the same contract the sweep engine already makes
  * for fault-free runs.
  *
- * The master switch is `enable`. When it is off the protocol takes its
- * legacy (perfect-hardware) paths exactly, so golden baselines see zero
- * drift; when it is on, the hardened protocol paths (per-line grant
- * sequence numbers, writeback acknowledgment, NACKs, MSHR retry with
- * bounded exponential backoff) are active even if every rate below is
- * zero.
+ * The master switch is `enable`. The coherence protocol is the same
+ * either way (its grant sequence numbers and floors run on every
+ * machine); `enable` arms the injection sites below and the recovery
+ * timing (MSHR retry with bounded exponential backoff, directory NACKs,
+ * the end-of-run drain), which are active even if every rate below is
+ * zero. When it is off no retry timer is armed and no run drains, so
+ * golden baselines see zero drift.
  *
  * The forward-progress watchdog is configured here but is independent of
  * `enable`: it is pure observation (no event, no timing change) and is
@@ -35,7 +36,7 @@ namespace mcsim::fault
 /** Per-machine fault-injection settings. */
 struct FaultConfig
 {
-    /** Master switch: injection sites armed, hardened protocol on. */
+    /** Master switch: injection sites and recovery timing armed. */
     bool enable = false;
 
     /** Seed for every injection decision (sweeps derive it from the
@@ -92,7 +93,7 @@ struct FaultConfig
      *  Active for every run (faults on or off); 0 = disabled. */
     Tick watchdogCycles = 2'000'000;
 
-    /** Injection sites armed / hardened protocol selected. */
+    /** Injection sites and recovery timing armed. */
     bool enabled() const { return enable; }
 
     /** fatal() on inconsistent settings (rates outside [0,1], blackout

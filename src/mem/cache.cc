@@ -166,15 +166,19 @@ Cache::pickVictim(std::uint32_t set)
 void
 Cache::bumpGrantFloor(Addr line_addr, std::uint32_t seq)
 {
-    std::uint32_t &floor = grantFloor[line_addr];
+    const Addr line_no = line_addr / cfg.lineBytes;
+    std::uint32_t &floor =
+        grantFloor[line_no / floorPageLines][line_no % floorPageLines];
     floor = std::max(floor, seq);
 }
 
 std::uint32_t
 Cache::grantFloorOf(Addr line_addr) const
 {
-    auto it = grantFloor.find(line_addr);
-    return it == grantFloor.end() ? 0 : it->second;
+    const Addr line_no = line_addr / cfg.lineBytes;
+    auto it = grantFloor.find(line_no / floorPageLines);
+    return it == grantFloor.end() ? 0
+                                  : it->second[line_no % floorPageLines];
 }
 
 void
@@ -183,22 +187,16 @@ Cache::evict(Line &line)
     MCSIM_ASSERT(line.state == LineState::Shared ||
                      line.state == LineState::Modified,
                  "evicting line in bad state");
-    if (plan) {
-        // The grant this copy was installed under is surrendered; any
-        // reply at or below its seq still in flight is a stale duplicate
-        // and must not satisfy a later miss on this line.
-        bumpGrantFloor(line.lineAddr, line.seq + 1);
-    }
+    // The grant this copy was installed under is surrendered: a reply at
+    // or below its seq still in flight is a stale duplicate that must not
+    // satisfy a later miss on this line, and the next Get* for the line
+    // tells the directory the grant is gone (its floor passes the seq).
+    bumpGrantFloor(line.lineAddr, line.seq + 1);
     if (line.state == LineState::Modified) {
         // Exclusive lines always surrender via Writeback so the directory
         // never waits forever on a recall (see DESIGN.md).
         cacheStats.writebacks += 1;
         sendRequest(MsgKind::Writeback, line.lineAddr, false, 0, line.seq);
-        if (plan) {
-            // Hardened: the line enters writeback limbo until the
-            // directory acknowledges; re-requests block meanwhile.
-            wbLimbo.insert(line.lineAddr);
-        }
     }
     // Clean (Shared) lines are dropped silently; the directory's stale
     // presence bit costs at worst one spurious Invalidate later.
@@ -240,6 +238,7 @@ Cache::launchMiss(Line &way_line, std::uint32_t set, Addr line_addr,
 
     if (way_line.state != LineState::Invalid)
         evict(way_line);
+    const std::uint32_t floor = grantFloorOf(line_addr);
 
     way_line.lineAddr = line_addr;
     way_line.state = LineState::Pending;
@@ -263,7 +262,7 @@ Cache::launchMiss(Line &way_line, std::uint32_t set, Addr line_addr,
     mshr->deferredRecallShared = false;
     mshr->deferredRecallSeq = 0;
     mshr->replySeq = 0;
-    mshr->minAcceptSeq = plan ? grantFloorOf(line_addr) : 0;
+    mshr->minAcceptSeq = floor;
     mshr->attempts = 0;
     mshr->retryGen = 0;
     if (!is_prefetch)
@@ -275,7 +274,7 @@ Cache::launchMiss(Line &way_line, std::uint32_t set, Addr line_addr,
     }
 
     sendRequest(exclusive ? MsgKind::GetExclusive : MsgKind::GetShared,
-                line_addr, bypass_eligible, cfg.missHandleCycles);
+                line_addr, bypass_eligible, cfg.missHandleCycles, floor);
     if (plan && plan->config().retryTimeoutCycles > 0)
         armRetry(*mshr, cfg.missHandleCycles + retryDelay(line_addr, 0));
 }
@@ -285,14 +284,6 @@ Cache::access(Addr addr, AccessType type, std::uint64_t cookie)
 {
     const Addr line_addr = lineOf(addr);
     const bool wants_excl = needsExclusive(type);
-
-    if (plan && wbLimbo.count(line_addr)) {
-        // Hardened: our Writeback for this line is still unacknowledged;
-        // re-requesting now could race it at the directory. The WbAck
-        // fires the retry handler.
-        cacheStats.blockedAccesses += 1;
-        return AccessOutcome::Blocked;
-    }
 
     // Statistics are recorded on the first (non-Blocked) attempt outcome;
     // Blocked attempts will be retried and counted then.
@@ -329,8 +320,7 @@ Cache::access(Addr addr, AccessType type, std::uint64_t cookie)
             // refetch with write permission -- a write miss (paper 3.3).
             if (allocMshr() != nullptr) {
                 count(false);
-                if (plan)
-                    bumpGrantFloor(line_addr, line->seq + 1);
+                bumpGrantFloor(line_addr, line->seq + 1);
                 line->state = LineState::Invalid;
                 line->lineAddr = invalidAddr;
                 const std::uint32_t set = setOf(line_addr);
@@ -393,8 +383,6 @@ bool
 Cache::prefetch(Addr addr, bool exclusive)
 {
     const Addr line_addr = lineOf(addr);
-    if (plan && wbLimbo.count(line_addr))
-        return false;
     if (Line *line = findLine(line_addr)) {
         // Present (in any state) or already being fetched: nothing to do.
         // A non-binding prefetch never invalidates a valid copy.
@@ -482,7 +470,7 @@ Cache::retryFire(Addr line_addr, std::uint64_t gen)
     }
     sendRequest(mshr->exclusive ? MsgKind::GetExclusive
                                 : MsgKind::GetShared,
-                line_addr, false, 0);
+                line_addr, false, 0, grantFloorOf(line_addr));
     armRetry(*mshr, retryDelay(line_addr, mshr->attempts));
 }
 
@@ -495,23 +483,14 @@ Cache::handleResponse(NetMsg &&msg)
       case MsgKind::DataReplyExclusive: {
         Mshr *mshr = findMshr(cm.lineAddr);
         const bool excl = cm.kind == MsgKind::DataReplyExclusive;
-        if (plan) {
-            // Hardened: duplicated or long-delayed grants can arrive with
-            // no (or the wrong) transaction waiting, or after an
-            // Invalidate/Recall already revoked them (minAcceptSeq).
-            // Discarding is safe -- the protocol is timing-only and the
-            // timeout retry recovers the miss.
-            if (!mshr || mshr->replyReceived || excl != mshr->exclusive ||
-                cm.seq < mshr->minAcceptSeq) {
-                cacheStats.staleReplies += 1;
-                break;
-            }
-        } else {
-            MCSIM_ASSERT(mshr != nullptr,
-                         "data reply without MSHR for line");
-            MCSIM_ASSERT(!mshr->replyReceived, "duplicate data reply");
-            MCSIM_ASSERT(excl == mshr->exclusive,
-                         "reply permission does not match request");
+        // Duplicated or long-delayed grants can arrive with no (or the
+        // wrong) transaction waiting, or after an Invalidate/Recall
+        // already revoked them (minAcceptSeq). Discarding is safe -- the
+        // protocol is timing-only and the timeout retry recovers the miss.
+        if (!mshr || mshr->replyReceived || excl != mshr->exclusive ||
+            cm.seq < mshr->minAcceptSeq) {
+            cacheStats.staleReplies += 1;
+            break;
         }
         mshr->replyReceived = true;
         mshr->replySeq = cm.seq;
@@ -558,12 +537,10 @@ Cache::handleResponse(NetMsg &&msg)
 
       case MsgKind::Invalidate: {
         cacheStats.invalidationsReceived += 1;
-        if (plan) {
-            // The stamp is the invalidating transaction's grant seq:
-            // every grant to us ordered before it is now revoked, even
-            // ones still in flight that no live MSHR remembers.
-            bumpGrantFloor(cm.lineAddr, cm.seq);
-        }
+        // The stamp is the invalidating transaction's grant seq: every
+        // grant to us ordered before it is now revoked, even ones still in
+        // flight that no live MSHR remembers.
+        bumpGrantFloor(cm.lineAddr, cm.seq);
         if (Mshr *mshr = findMshr(cm.lineAddr)) {
             if (mshr->replyReceived) {
                 // The invalidation targets the line we are installing;
@@ -572,13 +549,9 @@ Cache::handleResponse(NetMsg &&msg)
             } else {
                 // Stale presence bit: our old copy is long gone and our
                 // own fetch is ordered after the invalidating transaction.
-                if (plan) {
-                    // Hardened: a delayed grant for our fetch could still
-                    // overtake this revocation; refuse anything older than
-                    // the invalidating transaction's grant.
-                    mshr->minAcceptSeq =
-                        std::max(mshr->minAcceptSeq, cm.seq);
-                }
+                // A delayed grant for our fetch could still overtake this
+                // revocation; refuse anything older than its grant.
+                mshr->minAcceptSeq = std::max(mshr->minAcceptSeq, cm.seq);
                 sendRequest(MsgKind::InvAck, cm.lineAddr, false, 0);
             }
             break;
@@ -597,75 +570,57 @@ Cache::handleResponse(NetMsg &&msg)
       case MsgKind::RecallShared:
       case MsgKind::RecallExclusive: {
         const bool excl = cm.kind == MsgKind::RecallExclusive;
-        if (plan)
-            bumpGrantFloor(cm.lineAddr, cm.seq);
+        bumpGrantFloor(cm.lineAddr, cm.seq);
         if (Mshr *mshr = findMshr(cm.lineAddr)) {
             if (mshr->replyReceived) {
-                if (plan && cm.seq <= mshr->replySeq) {
+                if (cm.seq <= mshr->replySeq) {
                     // The recall targets a grant older than the one we
                     // just accepted; its transaction already closed.
                     cacheStats.staleReplies += 1;
                     break;
                 }
-                if (plan)
-                    mshr->deferredRecallSeq = cm.seq;
+                mshr->deferredRecallSeq = cm.seq;
                 if (excl)
                     mshr->deferredRecallExclusive = true;
                 else
                     mshr->deferredRecallShared = true;
             } else {
-                // We no longer own the line (writeback in flight).
-                if (plan) {
-                    mshr->minAcceptSeq =
-                        std::max(mshr->minAcceptSeq, cm.seq);
-                }
+                // We no longer own the line (writeback in flight, or our
+                // grant was lost); refuse any grant older than the
+                // recalling transaction's.
+                mshr->minAcceptSeq = std::max(mshr->minAcceptSeq, cm.seq);
                 sendRequest(MsgKind::RecallStale, cm.lineAddr, false, 0,
-                            plan ? cm.seq : 0);
+                            cm.seq);
             }
             break;
         }
         Line *line = findLine(cm.lineAddr);
         if (!line) {
-            sendRequest(MsgKind::RecallStale, cm.lineAddr, false, 0,
-                        plan ? cm.seq : 0);
+            sendRequest(MsgKind::RecallStale, cm.lineAddr, false, 0, cm.seq);
             break;
         }
-        if (plan) {
-            if (line->seq >= cm.seq) {
-                // Long-delayed recall: the recalling transaction already
-                // completed (its data arrived via the racing writeback)
-                // and this copy comes from a strictly later grant.
-                // Flushing it would revoke a current grant; discard, and
-                // send nothing -- that transaction needs no reply.
-                cacheStats.staleReplies += 1;
-                break;
-            }
-            if (line->state != LineState::Modified) {
-                // Only a clean copy left of the grant under recall: no
-                // dirty data to flush. RecallStale completes the
-                // transaction from memory's image AND drops us from the
-                // presence set, so the copy must be surrendered entirely
-                // -- keeping it Shared would leave it untracked and
-                // immune to later invalidations.
-                line->state = LineState::Invalid;
-                line->lineAddr = invalidAddr;
-                invalidatedLines.insert(cm.lineAddr);
-                if (checker)
-                    checker->onCacheLineEvent(procId, cm.lineAddr);
-                sendRequest(MsgKind::RecallStale, cm.lineAddr, false, 0,
-                            cm.seq);
-                break;
-            }
+        if (line->seq >= cm.seq) {
+            // Long-delayed recall: the recalling transaction already
+            // completed (its data arrived via the racing writeback) and
+            // this copy comes from a strictly later grant. Flushing it
+            // would revoke a current grant; discard, and send nothing --
+            // that transaction needs no reply.
+            cacheStats.staleReplies += 1;
+            break;
         }
-        applyRecall(cm.lineAddr, excl);
+        if (line->state != LineState::Modified)
+            surrenderClean(*line, cm.seq);
+        else
+            applyRecall(cm.lineAddr, excl);
         break;
       }
 
       case MsgKind::Nack: {
-        // Hardened protocol only: the directory refused our Get*. Re-arm
-        // the retry timer at the pure backoff delay (no extra timeout --
-        // the directory definitively has no grant in flight for us).
-        MCSIM_ASSERT(plan != nullptr, "Nack on the legacy protocol");
+        // The directory refused our Get* (only a fault plan sets its
+        // NACK threshold). Re-arm the retry timer at the pure backoff
+        // delay (no extra timeout -- the directory definitively has no
+        // grant in flight for us).
+        MCSIM_ASSERT(plan != nullptr, "Nack without a fault plan");
         Mshr *mshr = findMshr(cm.lineAddr);
         if (!mshr || mshr->replyReceived) {
             cacheStats.staleReplies += 1;
@@ -676,16 +631,6 @@ Cache::handleResponse(NetMsg &&msg)
         armRetry(*mshr,
                  plan->backoffCycles(procId,
                                      std::max(mshr->attempts, 1u)));
-        break;
-      }
-
-      case MsgKind::WbAck: {
-        // Hardened protocol only: our Writeback was consumed (or
-        // recognized as stale) at the directory; the line may be
-        // re-requested now.
-        MCSIM_ASSERT(plan != nullptr, "WbAck on the legacy protocol");
-        wbLimbo.erase(cm.lineAddr);
-        notifyRetry();
         break;
       }
 
@@ -737,6 +682,23 @@ Cache::applyRecall(Addr line_addr, bool exclusive_recall)
 }
 
 void
+Cache::surrenderClean(Line &line, std::uint32_t recall_seq)
+{
+    // Only a clean copy is left of the grant under recall: no dirty data
+    // to flush. RecallStale completes the transaction from memory's image
+    // AND drops us from the presence set, so the copy must be surrendered
+    // entirely -- keeping it Shared would leave it untracked and immune to
+    // later invalidations.
+    const Addr line_addr = line.lineAddr;
+    line.state = LineState::Invalid;
+    line.lineAddr = invalidAddr;
+    invalidatedLines.insert(line_addr);
+    if (checker)
+        checker->onCacheLineEvent(procId, line_addr);
+    sendRequest(MsgKind::RecallStale, line_addr, false, 0, recall_seq);
+}
+
+void
 Cache::settleFill(Addr line_addr)
 {
     Mshr *mshr = findMshr(line_addr);
@@ -764,19 +726,11 @@ Cache::settleFill(Addr line_addr)
         applyInvalidate(line_addr);
         sendRequest(MsgKind::InvAck, line_addr, false, 0);
     } else if (deferred_recall_excl || deferred_recall_shared) {
-        if (plan && line.state != LineState::Modified) {
-            // A Shared fill caught by a (self-)recall: clean surrender,
-            // exactly as in the no-MSHR clean-copy case above.
-            line.state = LineState::Invalid;
-            line.lineAddr = invalidAddr;
-            invalidatedLines.insert(line_addr);
-            if (checker)
-                checker->onCacheLineEvent(procId, line_addr);
-            sendRequest(MsgKind::RecallStale, line_addr, false, 0,
-                        deferred_recall_seq);
-        } else {
+        // A Shared fill caught by a (self-)recall surrenders cleanly.
+        if (line.state != LineState::Modified)
+            surrenderClean(line, deferred_recall_seq);
+        else
             applyRecall(line_addr, deferred_recall_excl);
-        }
     } else if (checker) {
         // Deferred paths audit inside applyInvalidate/applyRecall.
         checker->onCacheLineEvent(procId, line_addr);

@@ -16,6 +16,7 @@
 #ifndef MCSIM_MEM_CACHE_HH
 #define MCSIM_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -158,17 +159,16 @@ class Cache
     void setTracer(obs::Tracer *t) { tracer = t; }
 
     /**
-     * Wire the fault plan (Machine; nullptr = perfect hardware). A wired
-     * plan switches the cache onto the hardened protocol: tolerant
-     * dedup of stale/duplicate replies, writeback limbo (no re-request
-     * of a line until its Writeback is acknowledged), NACK handling,
-     * and MSHR timeout retry with bounded exponential backoff.
+     * Wire the fault plan (Machine; nullptr = perfect hardware). The
+     * protocol is the same either way; a wired plan only arms recovery
+     * timing: MSHR timeout retry with bounded exponential backoff, and
+     * the backoff a directory NACK asks for.
      */
     void setFaultPlan(fault::FaultPlan *p) { plan = p; }
 
     /** Wire the model checker's choice scheduler (Machine; nullptr =
      *  seeded-jitter backoff). With a scheduler installed, the stretch
-     *  of each hardened-protocol retry backoff becomes an explicit
+     *  of each timeout-retry backoff becomes an explicit
      *  choice point (ChoiceKind::RetryDelay). */
     void setChoiceScheduler(ChoiceScheduler *s) { chooser = s; }
 
@@ -206,8 +206,6 @@ class Cache
     };
     /** Snapshot of all busy MSHRs (diagnostics). */
     std::vector<MshrView> pendingMshrs() const;
-    /** Writebacks awaiting WbAck (hardened protocol; diagnostics). */
-    std::size_t pendingWritebacks() const { return wbLimbo.size(); }
 
     const CacheParams &params() const { return cfg; }
 
@@ -217,8 +215,8 @@ class Cache
         Addr lineAddr = invalidAddr;
         LineState state = LineState::Invalid;
         Tick lru = 0;
-        /** Directory grant seq this copy was installed under (hardened
-         *  protocol: stamps Writeback/FlushData surrenders). */
+        /** Directory grant seq this copy was installed under (stamps
+         *  Writeback/FlushData surrenders). */
         std::uint32_t seq = 0;
     };
 
@@ -240,12 +238,12 @@ class Cache
         bool deferredInvalidate = false;
         bool deferredRecallExclusive = false;
         bool deferredRecallShared = false;
-        /** Stamp of the deferred recall (hardened: echoed in the
-         *  RecallStale a clean surrender answers with). */
+        /** Stamp of the deferred recall (echoed in the RecallStale a
+         *  clean surrender answers with). */
         std::uint32_t deferredRecallSeq = 0;
-        /** Hardened protocol (fault plan wired). @{ */
         std::uint32_t replySeq = 0;     ///< seq of the accepted reply
         std::uint32_t minAcceptSeq = 0; ///< replies below this are stale
+        /** Fault recovery (fault plan wired). @{ */
         unsigned attempts = 0;          ///< re-sends so far
         std::uint64_t retryGen = 0;     ///< cancels superseded timers
         /** @} */
@@ -274,7 +272,7 @@ class Cache
     void sendRequest(MsgKind kind, Addr line_addr, bool bypass_eligible,
                      Tick delay, std::uint32_t seq = 0);
 
-    /** Hardened protocol: timeout-driven re-issue. @{ */
+    /** Fault recovery: timeout-driven re-issue. @{ */
     void armRetry(Mshr &mshr, Tick delay);
     void retryFire(Addr line_addr, std::uint64_t gen);
     Tick retryDelay(Addr line_addr, unsigned attempt);
@@ -285,9 +283,12 @@ class Cache
 
     void applyInvalidate(Addr line_addr);
     void applyRecall(Addr line_addr, bool exclusive_recall);
+    /** Answer a recall of a non-Modified copy: invalidate it and send
+     *  RecallStale stamped with @p recall_seq. */
+    void surrenderClean(Line &line, std::uint32_t recall_seq);
 
-    /** Hardened protocol: record that grants below @p seq for
-     *  @p line_addr are dead to this cache. @{ */
+    /** Record that grants below @p seq for @p line_addr are dead to
+     *  this cache. @{ */
     void bumpGrantFloor(Addr line_addr, std::uint32_t seq);
     std::uint32_t grantFloorOf(Addr line_addr) const;
     /** @} */
@@ -305,19 +306,19 @@ class Cache
     std::vector<Mshr> mshrs;
     /** Lines removed by coherence; a later miss on one is an inv. miss. */
     std::unordered_set<Addr> invalidatedLines;
-    /** Hardened protocol: lines whose Writeback awaits a WbAck; accesses
-     *  to them block until the ack clears the limbo (this is what makes
-     *  "GetExclusive from the registered owner" unambiguous at the
-     *  directory -- a lost reply, never an eviction race). */
-    std::unordered_set<Addr> wbLimbo;
-    /** Hardened protocol: per-line minimum acceptable grant seq. An MSHR's
-     *  minAcceptSeq dies with the MSHR, but a stale grant (from a retry or
-     *  a network duplicate) can outlive it and arrive at a LATER miss on
-     *  the same line; without this floor that miss would install a copy
-     *  the directory already revoked. Bumped by every Invalidate/Recall
-     *  stamp and by evictions surrendering a grant; seeds minAcceptSeq in
-     *  launchMiss. */
-    std::unordered_map<Addr, std::uint32_t> grantFloor;
+    /** Per-line minimum acceptable grant seq. An MSHR's minAcceptSeq dies
+     *  with the MSHR, but a stale grant (from a retry or a network
+     *  duplicate) can outlive it and arrive at a LATER miss on the same
+     *  line; without this floor that miss would install a copy the
+     *  directory already revoked. Bumped by every Invalidate/Recall stamp
+     *  and by evictions/upgrades surrendering a grant; seeds minAcceptSeq
+     *  in launchMiss and stamps every Get*. Every line a cache has touched
+     *  gets one, so floors are kept in pages of consecutive lines: the
+     *  dense ranges workloads touch cost ~4 bytes a line instead of a hash
+     *  node each. */
+    static constexpr unsigned floorPageLines = 16;
+    std::unordered_map<Addr, std::array<std::uint32_t, floorPageLines>>
+        grantFloor;
 
     /** Close the current MSHR-occupancy interval and apply @p delta busy
      *  MSHRs from now on. */
@@ -333,7 +334,7 @@ class Cache
 
     check::Checker *checker = nullptr;
     obs::Tracer *tracer = nullptr;
-    fault::FaultPlan *plan = nullptr;  ///< nullptr = legacy protocol
+    fault::FaultPlan *plan = nullptr;  ///< nullptr = no fault recovery
     ChoiceScheduler *chooser = nullptr;  ///< nullptr = seeded backoff
     std::uint64_t retrySeq = 0;        ///< retry-timer generation counter
     bool ignoreNextInvalidate = false;  ///< fault injection, tests only

@@ -40,8 +40,8 @@ struct CacheStats
     std::uint64_t prefetchesIssued = 0;
     std::uint64_t prefetchesUseful = 0;  ///< later demand access merged/hit
 
-    /** Hardened protocol under fault injection (src/fault/); all zero
-     *  on perfect hardware. @{ */
+    /** Fault recovery (src/fault/); all zero on perfect hardware, which
+     *  Machine::run enforces for staleReplies. @{ */
     std::uint64_t retries = 0;        ///< timeout/NACK-driven re-sends
     std::uint64_t nacksReceived = 0;
     std::uint64_t staleReplies = 0;   ///< duplicate/superseded, dropped

@@ -200,44 +200,21 @@ MemoryModule::dispatchRequest(NetMsg &&msg)
       }
 
       case MsgKind::Writeback: {
-        if (plan) {
-            // Hardened: validate against the registered grant; a
-            // Writeback that lost a race with a completed recall (its
-            // grant seq was superseded) is acknowledged but discarded.
-            // Every Writeback gets a WbAck so the owner's limbo clears.
-            auto it = txns.find(cm.lineAddr);
-            DirEntry &entry = dir[cm.lineAddr];
-            const bool valid = entry.state == DirState::Exclusive &&
-                               entry.owner == cm.proc &&
-                               cm.seq == entry.seq;
-            if (valid && it != txns.end() && it->second.waitingData) {
-                modStats.writebacks += 1;
-                handleDataArrival(cm.lineAddr, false);
-            } else if (valid) {
-                modStats.writebacks += 1;
-                entry.state = DirState::Uncached;
-                entry.presence = 0;
-                reserveWrite();
-                if (checker)
-                    checker->onDirectoryEvent(moduleId, cm.lineAddr);
-            } else {
-                modStats.staleMessages += 1;
-            }
-            sendToProc(MsgKind::WbAck, cm.lineAddr, cm.proc, queue.now());
+        // Valid only from the registered owner at the current grant seq;
+        // a Writeback that lost a race with a completed recall (its grant
+        // was superseded) is discarded.
+        DirEntry &entry = dir[cm.lineAddr];
+        if (entry.state != DirState::Exclusive || entry.owner != cm.proc ||
+            cm.seq != entry.seq) {
+            modStats.staleMessages += 1;
             return;
         }
         modStats.writebacks += 1;
         auto it = txns.find(cm.lineAddr);
-        if (it != txns.end()) {
-            MCSIM_ASSERT(it->second.waitingData,
-                         "writeback during non-recall transaction");
+        if (it != txns.end() && it->second.waitingData) {
             handleDataArrival(cm.lineAddr, false);
             return;
         }
-        DirEntry &entry = dir[cm.lineAddr];
-        MCSIM_ASSERT(entry.state == DirState::Exclusive &&
-                         entry.owner == cm.proc,
-                     "writeback from non-owner %u", cm.proc);
         entry.state = DirState::Uncached;
         entry.presence = 0;
         reserveWrite();
@@ -247,56 +224,48 @@ MemoryModule::dispatchRequest(NetMsg &&msg)
       }
 
       case MsgKind::FlushData: {
-        if (plan) {
-            auto it = txns.find(cm.lineAddr);
-            if (it == txns.end() || !it->second.waitingData) {
-                // Hardened: the transaction was already completed (e.g.
-                // by a RecallStale recovery); the data is functionally
-                // current in memory anyway.
-                modStats.staleMessages += 1;
-                return;
-            }
-            handleDataArrival(cm.lineAddr, true);
+        auto it = txns.find(cm.lineAddr);
+        if (it == txns.end() || !it->second.waitingData) {
+            // The transaction was already completed (e.g. by a
+            // RecallStale recovery); the data is functionally current in
+            // memory anyway.
+            modStats.staleMessages += 1;
             return;
         }
-        MCSIM_ASSERT(txns.count(cm.lineAddr) &&
-                         txns.at(cm.lineAddr).waitingData,
-                     "flush data without a recall transaction");
         handleDataArrival(cm.lineAddr, true);
         return;
       }
 
       case MsgKind::RecallStale: {
-        if (plan) {
-            // Hardened: "stale" can also mean the target's grant was lost
-            // or its Writeback already consumed -- then no data is coming
-            // and waiting would wedge the line. Memory's copy is current
-            // (functional/timing split), so complete the recall with it.
-            // A Writeback genuinely still in flight later fails the grant
-            // seq check above and is discarded. The echoed recall stamp
-            // (this transaction's grant-to-be) rejects a long-delayed
-            // RecallStale left over from an earlier recall of the same
-            // processor, which would otherwise close this transaction
-            // while its own recall -- and the copy it governs -- is
-            // still in flight.
-            auto it = txns.find(cm.lineAddr);
-            if (it != txns.end() && it->second.waitingData &&
-                it->second.owner == cm.proc &&
-                cm.seq == dir[cm.lineAddr].seq + 1) {
-                handleDataArrival(cm.lineAddr, false);
-            } else {
-                modStats.staleMessages += 1;
-            }
-            return;
+        // The recall target no longer holds the grant under recall. The
+        // echoed stamp (the recalling transaction's grant-to-be) tells
+        // which transaction it answers.
+        auto it = txns.find(cm.lineAddr);
+        const std::uint32_t seq = dir[cm.lineAddr].seq;
+        const bool answers_open = it != txns.end() &&
+                                  it->second.owner == cm.proc &&
+                                  cm.seq == seq + 1;
+        if (answers_open && it->second.waitingData) {
+            // The target's grant was lost or its Writeback already
+            // consumed: no data is coming and waiting would wedge the
+            // line. Memory's copy is current (functional/timing split),
+            // so complete the recall with it; a Writeback still in flight
+            // later fails the grant seq check above.
+            handleDataArrival(cm.lineAddr, false);
+        } else if (!answers_open && cm.seq != seq) {
+            // A long-delayed RecallStale from an earlier recall of this
+            // processor: closing the open transaction with it would race
+            // that transaction's own recall.
+            modStats.staleMessages += 1;
         }
-        // The recall target surrendered the line before our recall reached
-        // it; its Writeback (already in flight) completes the transaction
-        // when it arrives, so nothing to record here.
+        // Otherwise the target evicted the line before the recall
+        // reached it, and its Writeback has closed (seq == entry.seq) or
+        // is closing (finish pending) the transaction: nothing to do.
         return;
       }
 
       case MsgKind::InvAck:
-        handleInvAck(cm.lineAddr, cm.proc);
+        handleInvAck(cm.lineAddr);
         return;
 
       case MsgKind::DataReplyShared:
@@ -305,7 +274,6 @@ MemoryModule::dispatchRequest(NetMsg &&msg)
       case MsgKind::RecallShared:
       case MsgKind::RecallExclusive:
       case MsgKind::Nack:
-      case MsgKind::WbAck:
         // Response-network kinds; the request network never carries them
         // (validateMessage rejects them at injection).
         unreachableMessage("memory module", moduleId, cm.kind);
@@ -329,36 +297,26 @@ MemoryModule::startTransaction(NetMsg &&msg)
             finish(cm.lineAddr, reserveRead(), false);
             return;
           case DirState::Exclusive:
-            if (plan && entry.owner == req) {
-                // Hardened: a duplicated/stale Get can leave this entry
-                // registered to a requester whose copy (or grant) is
-                // long gone, and that requester may legitimately fetch
-                // again. Recall the requester itself: a live Modified
-                // copy flushes and the transaction completes normally; a
-                // clean or missing copy answers RecallStale and memory's
-                // current image (functional/timing split) completes it.
-                // Either way the line converges -- discarding here would
-                // starve a genuine re-fetch forever.
-                txn.waitingData = true;
-                txn.owner = req;
-                txn.keepOwnerShared = true;
-                modStats.recallsSent += 1;
-                sendToProc(MsgKind::RecallShared, cm.lineAddr, req,
-                           queue.now(), entry.seq + 1);
-                return;
-            }
             txn.waitingData = true;
             txn.owner = entry.owner;
-            if (entry.owner == req) {
+            if (entry.owner == req && cm.seq > entry.seq) {
                 // The owner wrote the line back and re-requested it before
-                // the writeback arrived; just wait for the writeback.
+                // the writeback arrived (its floor is past the grant it
+                // surrendered); just wait for the writeback.
                 txn.keepOwnerShared = false;
-            } else {
-                txn.keepOwnerShared = true;
-                modStats.recallsSent += 1;
-                sendToProc(MsgKind::RecallShared, cm.lineAddr, entry.owner,
-                           queue.now(), entry.seq + 1);
+                return;
             }
+            // Recall the owner. When that is the requester itself, its
+            // grant was lost or this Get is a stale duplicate, and the
+            // requester may legitimately fetch again: a live Modified copy
+            // flushes and the transaction completes normally; a clean or
+            // missing copy answers RecallStale and memory's current image
+            // (functional/timing split) completes it. Discarding instead
+            // would starve a genuine re-fetch forever.
+            txn.keepOwnerShared = true;
+            modStats.recallsSent += 1;
+            sendToProc(MsgKind::RecallShared, cm.lineAddr, entry.owner,
+                       queue.now(), entry.seq + 1);
             return;
         }
         return;
@@ -392,12 +350,12 @@ MemoryModule::startTransaction(NetMsg &&msg)
       }
 
       case DirState::Exclusive:
-        if (plan && entry.owner == req) {
-            // Hardened: writeback limbo makes "GetExclusive from the
-            // registered owner" unambiguous -- its grant (or a duplicate
-            // of the request) was lost in flight, never an eviction
-            // race. Re-grant idempotently with the SAME seq so a copy
-            // installed from either reply surrenders consistently.
+        if (entry.owner == req && cm.seq <= entry.seq) {
+            // The registered owner has not surrendered this grant (its
+            // floor is not past it), so this is no eviction race: the
+            // grant was lost in flight or this Get is a duplicate.
+            // Re-grant idempotently with the SAME seq so a copy installed
+            // from either reply surrenders consistently.
             txns.erase(cm.lineAddr);
             sendToProc(MsgKind::DataReplyExclusive, cm.lineAddr, req,
                        reserveRead(), entry.seq);
@@ -428,15 +386,13 @@ MemoryModule::handleDataArrival(Addr line_addr, bool via_flush)
 }
 
 void
-MemoryModule::handleInvAck(Addr line_addr, ProcId from)
+MemoryModule::handleInvAck(Addr line_addr)
 {
     auto it = txns.find(line_addr);
-    if (plan && (it == txns.end() || it->second.acksLeft == 0)) {
+    if (it == txns.end() || it->second.acksLeft == 0) {
         modStats.staleMessages += 1;
         return;
     }
-    MCSIM_ASSERT(it != txns.end() && it->second.acksLeft > 0,
-                 "unexpected InvAck from %u", from);
     Txn &txn = it->second;
     txn.acksLeft -= 1;
     if (txn.acksLeft == 0) {

@@ -66,8 +66,8 @@ struct ModuleStats
     std::uint64_t queuedRequests = 0;  ///< arrived while line blocked
     std::uint64_t busyCycles = 0;      ///< DRAM occupancy
 
-    /** Hardened protocol under fault injection (src/fault/); all zero
-     *  on perfect hardware. @{ */
+    /** Fault recovery (src/fault/); all zero on perfect hardware, which
+     *  Machine::run enforces for staleMessages. @{ */
     std::uint64_t nacksSent = 0;       ///< Get* refused, deep waiter queue
     std::uint64_t staleMessages = 0;   ///< superseded/duplicate, discarded
     /** @} */
@@ -136,12 +136,11 @@ class MemoryModule
     void setTracer(obs::Tracer *t) { tracer = t; }
 
     /**
-     * Wire the fault plan (Machine; nullptr = perfect hardware). A wired
-     * plan arms this module's injection sites (blackout deferral,
-     * transient DRAM stalls, lost replies) and switches the directory
-     * onto the hardened protocol: tolerant validation of stale
-     * writebacks/acks, WbAck generation, idempotent re-grants to the
-     * registered owner, and NACKs once a line's waiter queue runs deep.
+     * Wire the fault plan (Machine; nullptr = perfect hardware). The
+     * protocol is the same either way; a wired plan only arms this
+     * module's injection sites (blackout deferral, transient DRAM stalls,
+     * lost replies) and its recovery timing (NACKs once a line's waiter
+     * queue runs deep).
      */
     void setFaultPlan(fault::FaultPlan *p) { plan = p; }
 
@@ -166,8 +165,7 @@ class MemoryModule
         ProcId owner = 0;            ///< valid when Exclusive
         /** Grant sequence number: bumped before every grant for the line;
          *  stamps replies, revocations (seq+1 at send time) and expected
-         *  surrenders. Maintained unconditionally; only the hardened
-         *  protocol reads it (see CoherenceMsg::seq). */
+         *  surrenders (see CoherenceMsg::seq). */
         std::uint32_t seq = 0;
     };
 
@@ -200,7 +198,7 @@ class MemoryModule
     void dispatchRequest(NetMsg &&msg);
     void startTransaction(NetMsg &&msg);
     void handleDataArrival(Addr line_addr, bool via_flush);
-    void handleInvAck(Addr line_addr, ProcId from);
+    void handleInvAck(Addr line_addr);
     void finish(Addr line_addr, Tick reply_tick, bool owner_shares);
     void sendToProc(MsgKind kind, Addr line_addr, ProcId proc, Tick when,
                     std::uint32_t seq = 0);
@@ -216,7 +214,7 @@ class MemoryModule
     ModuleStats modStats;
     check::Checker *checker = nullptr;
     obs::Tracer *tracer = nullptr;
-    fault::FaultPlan *plan = nullptr;  ///< nullptr = legacy protocol
+    fault::FaultPlan *plan = nullptr;  ///< nullptr = no fault injection
     ChoiceScheduler *chooser = nullptr;  ///< nullptr = arrival order
 };
 

@@ -21,7 +21,6 @@ msgKindName(MsgKind kind)
       case MsgKind::RecallShared: return "RecallShared";
       case MsgKind::RecallExclusive: return "RecallExclusive";
       case MsgKind::Nack: return "Nack";
-      case MsgKind::WbAck: return "WbAck";
     }
     return "<unknown>";
 }

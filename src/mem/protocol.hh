@@ -8,7 +8,7 @@
  *    Writeback, InvAck, RecallStale, FlushData
  *  - memory -> processor (response network): DataReplyShared,
  *    DataReplyExclusive, Invalidate, RecallShared, RecallExclusive, plus
- *    Nack and WbAck under the hardened protocol (src/fault/)
+ *    Nack when a fault plan sets a NACK threshold (src/fault/)
  *
  * Only timing flows through the protocol; functional data is maintained by
  * the processors against FunctionalMemory at instruction issue time (see
@@ -44,9 +44,8 @@ enum class MsgKind : std::uint8_t
     RecallShared,        ///< directory asks the owner to flush, keep shared
     RecallExclusive,     ///< directory asks the owner to flush + invalidate
 
-    // memory -> processor, hardened protocol only (src/fault/)
+    // memory -> processor, only under a fault plan (src/fault/)
     Nack,                ///< directory refuses a Get*; retry after backoff
-    WbAck,               ///< directory consumed a Writeback; limbo cleared
 };
 
 /** Human-readable kind name (diagnostics and tests). */
@@ -82,10 +81,13 @@ struct CoherenceMsg
      * Per-line grant sequence number (directory DirEntry::seq). Replies
      * carry the seq of the grant; Invalidate/Recall carry the seq their
      * transaction's grant will get; Writeback/FlushData carry the seq of
-     * the grant being surrendered. The directory maintains it
-     * unconditionally, but only the hardened protocol (fault injection
-     * on, src/fault/) uses it -- to recognize and discard stale or
-     * duplicate messages that reordered past their revocation.
+     * the grant being surrendered, and RecallStale echoes the recall's.
+     * Get* carry the requester's grant floor: a Get from the registered
+     * owner with a floor past the owner's grant means an eviction race
+     * (its Writeback is in flight), one at or below it a lost grant or a
+     * duplicate request. Stale or duplicate messages that reordered past
+     * their revocation (possible only under fault injection, src/fault/)
+     * are recognized by it and discarded.
      */
     std::uint32_t seq = 0;
 };

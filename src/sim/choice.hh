@@ -22,8 +22,8 @@
  *    every cross-pair interleaving becomes reachable.
  *  - mem::MemoryModule asks which parked waiter is serviced when a
  *    blocked line reopens (ChoiceKind::DirService).
- *  - mem::Cache asks how far to stretch a retry backoff under the
- *    hardened protocol (ChoiceKind::RetryDelay).
+ *  - mem::Cache asks how far to stretch a retry backoff under a fault
+ *    plan (ChoiceKind::RetryDelay).
  *
  * When no scheduler is installed (the default, a null pointer), every
  * site takes its legacy deterministic path untouched; golden baselines
@@ -45,7 +45,7 @@ enum class ChoiceKind : std::uint8_t
 {
     NetDeliver,  ///< which pending network message is delivered next
     DirService,  ///< which parked waiter a reopened line services first
-    RetryDelay,  ///< backoff stretch of a hardened-protocol retry
+    RetryDelay,  ///< backoff stretch of a fault-plan timeout retry
 };
 
 /** Display name ("net", "dir", "retry"). */

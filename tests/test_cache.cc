@@ -3,7 +3,8 @@
  * Unit tests for the lockup-free write-back cache against a real
  * directory/memory back end: hit/miss classification, the
  * write-to-shared-line policy, LRU and writeback on eviction, MSHR
- * merging and conflicts, and coherence request handling.
+ * merging and conflicts, coherence request handling, and the grant floor
+ * a re-request carries.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault.hh"
 #include "mem/cache.hh"
 #include "mem/memory_module.hh"
 #include "mem/outbox.hh"
@@ -42,10 +44,22 @@ struct MemHarness
     std::vector<std::unique_ptr<mem::MemoryModule>> modules;
     std::vector<std::unique_ptr<Cache>> caches;
     std::vector<std::vector<std::pair<std::uint64_t, Tick>>> completions;
+    /** Every request-network message, as delivered to its module. */
+    std::vector<mem::CoherenceMsg> requests;
+    /** While set, Writebacks are parked here instead of delivered, as a
+     *  slow link would delay them; releaseWritebacks() delivers them. */
+    bool holdWritebacks = false;
+    std::vector<mem::NetMsg> heldWritebacks;
 
     explicit MemHarness(mem::CacheParams cache_params = {})
         : reqNet(queue, numPorts, 4,
                  [this](mem::NetMsg &&m) {
+                     if (holdWritebacks &&
+                         m.payload.kind == mem::MsgKind::Writeback) {
+                         heldWritebacks.push_back(std::move(m));
+                         return;
+                     }
+                     requests.push_back(m.payload);
                      modules[m.dst]->handleRequest(std::move(m));
                  }),
           respNet(queue, numPorts, 4, [this](mem::NetMsg &&m) {
@@ -84,6 +98,17 @@ struct MemHarness
     Cache &c1() { return *caches[1]; }
 
     void settle() { queue.run(); }
+
+    void
+    releaseWritebacks()
+    {
+        holdWritebacks = false;
+        for (auto &m : heldWritebacks) {
+            requests.push_back(m.payload);
+            modules[m.dst]->handleRequest(std::move(m));
+        }
+        heldWritebacks.clear();
+    }
 };
 
 mem::CacheParams
@@ -343,4 +368,85 @@ TEST(Cache, SyncAccessesCountedSeparately)
     EXPECT_EQ(h.c0().stats().syncHits, 2u);
     EXPECT_EQ(h.c0().stats().loads, 0u);
     EXPECT_EQ(h.c0().stats().stores, 0u);
+}
+
+TEST(Cache, ReRequestOfEvictedDirtyLineIsAMissCarryingTheFloor)
+{
+    // A fault plan that injects nothing still arms retry timers; the
+    // protocol itself is the same with or without it.
+    fault::FaultConfig fc;
+    fc.enable = true;
+    fault::FaultPlan plan(fc);
+    MemHarness h(smallParams());
+    for (auto &c : h.caches)
+        c->setFaultPlan(&plan);
+    for (auto &m : h.modules)
+        m->setFaultPlan(&plan);
+
+    auto step = [&]() { h.queue.runUntil(h.queue.now() + 1); };
+    // Dirty 0x1000 under its first grant (seq 1), then evict it by
+    // filling the set's other way and missing on a third line.
+    h.c0().access(0x1000, AccessType::Store, 1);
+    h.settle();
+    h.c0().access(0x1100, AccessType::Store, 2);
+    h.settle();
+    step();
+    h.c0().access(0x1100, AccessType::Store, 3);
+    step();
+    EXPECT_EQ(h.c0().access(0x1200, AccessType::Load, 4),
+              AccessOutcome::Miss);
+    EXPECT_EQ(h.c0().lineState(0x1000), Cache::LineState::Invalid);
+    EXPECT_EQ(h.c0().stats().writebacks, 1u);
+    // Re-request while the Writeback is still in flight: a plain miss
+    // whose GetExclusive tells the directory grant 1 was surrendered.
+    EXPECT_EQ(h.c0().access(0x1000, AccessType::Store, 5),
+              AccessOutcome::Miss);
+    h.settle();
+    EXPECT_EQ(h.c0().lineState(0x1000), Cache::LineState::Modified);
+    std::vector<std::uint32_t> gets;
+    for (const auto &r : h.requests)
+        if (r.kind == mem::MsgKind::GetExclusive && r.lineAddr == 0x1000)
+            gets.push_back(r.seq);
+    ASSERT_EQ(gets.size(), 2u);
+    EXPECT_EQ(gets[0], 0u);
+    EXPECT_EQ(gets[1], 2u);  // the surrendered grant's seq + 1
+    EXPECT_EQ(h.c0().stats().blockedAccesses, 0u);
+    EXPECT_EQ(h.c0().stats().staleReplies, 0u);
+    EXPECT_EQ(h.modules[0]->stats().staleMessages, 0u);
+}
+
+TEST(Cache, ReRequestOvertakingItsWritebackWaitsForIt)
+{
+    // The eviction race the floor exists for: the Writeback of a dirty
+    // line is delayed past the owner's re-request. The directory still
+    // registers the cache as Exclusive owner at grant 1; the Get's floor
+    // (2) tells it the grant was surrendered, so it waits for the
+    // Writeback instead of re-granting seq 1, which the cache's MSHR
+    // would discard as stale.
+    MemHarness h(smallParams());
+    auto step = [&]() { h.queue.runUntil(h.queue.now() + 1); };
+    h.c0().access(0x1000, AccessType::Store, 1);
+    h.settle();
+    h.c0().access(0x1100, AccessType::Store, 2);
+    h.settle();
+    step();
+    h.c0().access(0x1100, AccessType::Store, 3);
+    step();
+    h.holdWritebacks = true;
+    EXPECT_EQ(h.c0().access(0x1200, AccessType::Load, 4),
+              AccessOutcome::Miss);  // evicts dirty 0x1000
+    EXPECT_EQ(h.c0().access(0x1000, AccessType::Store, 5),
+              AccessOutcome::Miss);
+    h.settle();
+    ASSERT_FALSE(h.heldWritebacks.empty());
+    EXPECT_EQ(h.c0().lineState(0x1000), Cache::LineState::Pending);
+    EXPECT_EQ(h.modules[0]->openTransactions(), 1u);
+    h.releaseWritebacks();
+    h.settle();
+    EXPECT_EQ(h.c0().lineState(0x1000), Cache::LineState::Modified);
+    EXPECT_EQ(h.modules[0]->dirState(0x1000),
+              mem::MemoryModule::DirState::Exclusive);
+    EXPECT_EQ(h.modules[0]->openTransactions(), 0u);
+    EXPECT_EQ(h.c0().stats().staleReplies, 0u);
+    EXPECT_EQ(h.modules[0]->stats().staleMessages, 0u);
 }

@@ -24,7 +24,7 @@ using namespace mcsim;
 namespace
 {
 
-/** An enabled plan with every rate zero (hardened protocol, no faults). */
+/** An enabled plan with every rate zero (recovery timing armed, no faults). */
 fault::FaultConfig
 enabledConfig()
 {

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the directory/memory module: state transitions,
  * transaction blocking, invalidation-ack collection, recalls, the
- * writeback-vs-recall race, and DRAM occupancy timing.
+ * writeback-vs-recall race, the grant-floor rule for a Get from the
+ * registered owner, and DRAM occupancy timing.
  */
 
 #include <gtest/gtest.h>
@@ -40,6 +41,7 @@ struct DirHarness
         Addr line;
         ProcId proc;
         Tick at;
+        std::uint32_t seq;
     };
     std::vector<Sent> sent;
 
@@ -47,23 +49,28 @@ struct DirHarness
         : respNet(queue, 16, 4,
                   [this](NetMsg &&m) {
                       sent.push_back({m.payload.kind, m.payload.lineAddr,
-                                      m.payload.proc, queue.now()});
+                                      m.payload.proc, queue.now(),
+                                      m.payload.seq});
                   }),
           respBuf(queue, respNet, 4, false), outbox(respBuf, false),
           module(queue, 0,
                  mem::MemoryParams{line_bytes, 7, 16}, outbox)
     {}
 
+    /** Deliver a request at @p when, stamped with the @p seq a real
+     *  cache sends: the grant being surrendered on Writeback/FlushData,
+     *  the recall's stamp on RecallStale, the grant floor on Get*. */
     void
-    request(MsgKind kind, Addr line, ProcId proc, Tick when = 0)
+    request(MsgKind kind, Addr line, ProcId proc, Tick when = 0,
+            std::uint32_t seq = 0)
     {
-        queue.schedule(std::max(when, queue.now()), [this, kind, line,
-                                                     proc]() {
+        queue.schedule(std::max(when, queue.now()), [this, kind, line, proc,
+                                                     seq]() {
             NetMsg m;
             m.src = proc;
             m.dst = 0;
             m.bytes = mem::messageBytes(kind, 16);
-            m.payload = CoherenceMsg{kind, line, proc};
+            m.payload = CoherenceMsg{kind, line, proc, seq};
             module.handleRequest(std::move(m));
         });
     }
@@ -205,7 +212,7 @@ TEST(MemoryModule, WritebackReturnsLineToMemory)
     DirHarness h;
     h.request(MsgKind::GetExclusive, 0x700, 1);
     h.settle();
-    h.request(MsgKind::Writeback, 0x700, 1);
+    h.request(MsgKind::Writeback, 0x700, 1, 0, /*grant*/ 1);
     h.settle();
     EXPECT_EQ(h.module.dirState(0x700), MemoryModule::DirState::Uncached);
     EXPECT_EQ(h.module.stats().writebacks, 1u);
@@ -223,11 +230,11 @@ TEST(MemoryModule, WritebackRecallRaceSatisfiesRequester)
     h.settle();
     ASSERT_EQ(h.ofKind(MsgKind::RecallShared).size(), 1u);
     // Owner already evicted: its writeback arrives, then the stale notice.
-    h.request(MsgKind::Writeback, 0x800, 1);
+    h.request(MsgKind::Writeback, 0x800, 1, 0, /*grant*/ 1);
     h.settle();
     EXPECT_EQ(h.ofKind(MsgKind::DataReplyShared).size(), 1u);
     EXPECT_EQ(h.module.presenceMask(0x800), 1u << 2);  // owner dropped out
-    h.request(MsgKind::RecallStale, 0x800, 1);
+    h.request(MsgKind::RecallStale, 0x800, 1, 0, /*recall stamp*/ 2);
     h.settle();  // must be absorbed quietly
     EXPECT_EQ(h.module.openTransactions(), 0u);
 }
@@ -239,15 +246,123 @@ TEST(MemoryModule, OwnerReRequestWaitsForOwnWriteback)
     DirHarness h;
     h.request(MsgKind::GetExclusive, 0x900, 1);
     h.settle();
-    h.request(MsgKind::GetShared, 0x900, 1);
+    h.request(MsgKind::GetShared, 0x900, 1, 0, /*floor*/ 2);
     h.settle();
     EXPECT_EQ(h.ofKind(MsgKind::RecallShared).size(), 0u);
     EXPECT_EQ(h.ofKind(MsgKind::DataReplyShared).size(), 0u);
     EXPECT_EQ(h.module.openTransactions(), 1u);
-    h.request(MsgKind::Writeback, 0x900, 1);
+    h.request(MsgKind::Writeback, 0x900, 1, 0, /*grant*/ 1);
     h.settle();
     EXPECT_EQ(h.ofKind(MsgKind::DataReplyShared).size(), 1u);
     EXPECT_EQ(h.module.dirState(0x900), MemoryModule::DirState::Shared);
+}
+
+TEST(MemoryModule, OwnerGetExclusiveAboveGrantWaitsForWriteback)
+{
+    // The owner evicted its grant-1 copy (floor 2) and re-requests with
+    // write permission before its Writeback lands: no recall, and the
+    // request is served once the Writeback arrives.
+    DirHarness h;
+    h.request(MsgKind::GetExclusive, 0x980, 1);
+    h.settle();
+    h.request(MsgKind::GetExclusive, 0x980, 1, 0, /*floor*/ 2);
+    h.settle();
+    EXPECT_EQ(h.ofKind(MsgKind::RecallExclusive).size(), 0u);
+    EXPECT_EQ(h.ofKind(MsgKind::DataReplyExclusive).size(), 1u);
+    EXPECT_EQ(h.module.openTransactions(), 1u);
+    h.request(MsgKind::Writeback, 0x980, 1, 0, /*grant*/ 1);
+    h.settle();
+    auto grants = h.ofKind(MsgKind::DataReplyExclusive);
+    ASSERT_EQ(grants.size(), 2u);
+    EXPECT_EQ(grants[1].seq, 2u);
+    EXPECT_EQ(h.module.dirState(0x980), MemoryModule::DirState::Exclusive);
+    EXPECT_EQ(h.module.openTransactions(), 0u);
+    EXPECT_EQ(h.module.stats().staleMessages, 0u);
+}
+
+TEST(MemoryModule, OwnerGetExclusiveAtGrantIsReGranted)
+{
+    // The owner's floor is not past its grant: the grant was lost (or
+    // this is a duplicate request). Re-grant at the same seq, no recall.
+    DirHarness h;
+    h.request(MsgKind::GetExclusive, 0x9c0, 1);
+    h.settle();
+    h.request(MsgKind::GetExclusive, 0x9c0, 1, 0, /*floor*/ 1);
+    h.settle();
+    EXPECT_EQ(h.ofKind(MsgKind::RecallExclusive).size(), 0u);
+    auto grants = h.ofKind(MsgKind::DataReplyExclusive);
+    ASSERT_EQ(grants.size(), 2u);
+    EXPECT_EQ(grants[0].seq, 1u);
+    EXPECT_EQ(grants[1].seq, 1u);
+    EXPECT_EQ(h.module.openTransactions(), 0u);
+    // The re-granted copy surrenders under the same seq.
+    h.request(MsgKind::Writeback, 0x9c0, 1, 0, /*grant*/ 1);
+    h.settle();
+    EXPECT_EQ(h.module.dirState(0x9c0), MemoryModule::DirState::Uncached);
+    EXPECT_EQ(h.module.stats().staleMessages, 0u);
+}
+
+TEST(MemoryModule, OwnerGetSharedAtGrantSelfRecalls)
+{
+    // GetShared from the registered owner with its floor at the grant:
+    // the directory recalls the requester itself; a RecallStale at the
+    // recall's stamp completes the transaction from memory.
+    DirHarness h;
+    h.request(MsgKind::GetExclusive, 0xe00, 1);
+    h.settle();
+    h.request(MsgKind::GetShared, 0xe00, 1, 0, /*floor*/ 1);
+    h.settle();
+    auto recalls = h.ofKind(MsgKind::RecallShared);
+    ASSERT_EQ(recalls.size(), 1u);
+    EXPECT_EQ(recalls[0].proc, 1u);
+    EXPECT_EQ(recalls[0].seq, 2u);
+    EXPECT_EQ(h.module.openTransactions(), 1u);
+    h.request(MsgKind::RecallStale, 0xe00, 1, 0, /*recall stamp*/ 2);
+    h.settle();
+    auto replies = h.ofKind(MsgKind::DataReplyShared);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(replies[0].proc, 1u);
+    EXPECT_EQ(replies[0].seq, 2u);
+    EXPECT_EQ(h.module.dirState(0xe00), MemoryModule::DirState::Shared);
+    EXPECT_EQ(h.module.openTransactions(), 0u);
+    EXPECT_EQ(h.module.stats().staleMessages, 0u);
+}
+
+TEST(MemoryModule, RecallStaleBehindClosingWritebackIsAbsorbed)
+{
+    // The recall target's Writeback lands first and its finish is still
+    // pending (DRAM read in progress) when the RecallStale arrives: the
+    // notice is benign and not counted as stale.
+    DirHarness h;
+    h.request(MsgKind::GetExclusive, 0xf00, 1);
+    h.settle();
+    h.request(MsgKind::GetShared, 0xf00, 2);
+    h.settle();
+    const Tick t = h.queue.now() + 1;
+    h.request(MsgKind::Writeback, 0xf00, 1, t, /*grant*/ 1);
+    h.request(MsgKind::RecallStale, 0xf00, 1, t + 1, /*recall stamp*/ 2);
+    h.settle();
+    EXPECT_EQ(h.ofKind(MsgKind::DataReplyShared).size(), 1u);
+    EXPECT_EQ(h.module.openTransactions(), 0u);
+    EXPECT_EQ(h.module.stats().writebacks, 1u);
+    EXPECT_EQ(h.module.stats().staleMessages, 0u);
+}
+
+TEST(MemoryModule, RecallStaleFromEarlierRecallIsCounted)
+{
+    // A RecallStale whose stamp names neither the open recall nor the
+    // last closed one is a long-delayed leftover: counted, and it must
+    // not close the open transaction.
+    DirHarness h;
+    h.request(MsgKind::GetExclusive, 0xf40, 1);
+    h.settle();
+    h.request(MsgKind::GetShared, 0xf40, 2);  // recall stamped 2
+    h.settle();
+    h.request(MsgKind::RecallStale, 0xf40, 1, 0, /*old stamp*/ 0);
+    h.settle();
+    EXPECT_EQ(h.module.openTransactions(), 1u);
+    EXPECT_EQ(h.ofKind(MsgKind::DataReplyShared).size(), 0u);
+    EXPECT_EQ(h.module.stats().staleMessages, 1u);
 }
 
 TEST(MemoryModule, RequestsQueueBehindOpenTransaction)
