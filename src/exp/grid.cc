@@ -3,9 +3,6 @@
 #include "fault/fault_config.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "trace/generators.hh"
-#include "trace/reader.hh"
-#include "trace/replay.hh"
 #include "workloads/gauss.hh"
 #include "workloads/psim.hh"
 #include "workloads/qsort.hh"
@@ -64,14 +61,6 @@ benchmarkNames()
 {
     static const std::vector<std::string> names = {"Gauss", "Qsort",
                                                    "Relax", "Psim"};
-    return names;
-}
-
-const std::vector<std::string> &
-traceBenchmarkNames()
-{
-    static const std::vector<std::string> names = {
-        "TraceZipf", "TraceBurst", "TraceRing", "TraceLock"};
     return names;
 }
 
@@ -155,48 +144,11 @@ syntheticParams(std::uint64_t seed)
     return p;
 }
 
-/**
- * Generator knobs for a trace-replay sweep point. Everything derives
- * from the point (benchmark, scale, procs, seed), so two makeWorkload
- * calls on equal points produce byte-identical traces -- which is what
- * lets the chaos harness compare a faulted twin's fingerprint against
- * its baseline's.
- */
-trace::GeneratorParams
-tracePointParams(const std::string &benchmark, Scale scale,
-                 unsigned procs, std::uint64_t seed)
-{
-    trace::GeneratorParams p;
-    if (benchmark == "TraceZipf")
-        p.kind = trace::Generator::Zipfian;
-    else if (benchmark == "TraceBurst")
-        p.kind = trace::Generator::Bursty;
-    else if (benchmark == "TraceRing")
-        p.kind = trace::Generator::Ring;
-    else if (benchmark == "TraceLock")
-        p.kind = trace::Generator::LockStorm;
-    else
-        fatal("unknown trace benchmark '%s'", benchmark.c_str());
-    p.procs = procs;
-    p.opsPerProc = scale == Scale::Full ? 20000
-                   : scale == Scale::Scaled ? 4000
-                                            : 800;
-    p.seed = seed ? seed : 1;
-    return p;
-}
-
 } // namespace
 
 std::unique_ptr<workloads::Workload>
 SweepPoint::makeWorkload() const
 {
-    if (benchmark.rfind("Trace", 0) == 0) {
-        auto bytes = trace::generateTraceBytes(
-            tracePointParams(benchmark, scale, numProcs, seed));
-        return std::make_unique<trace::TraceWorkload>(
-            std::make_shared<trace::MemorySource>(std::move(bytes)),
-            benchmark);
-    }
     if (benchmark == "Gauss") {
         workloads::GaussParams p;
         p.n = scale == Scale::Full ? 250
@@ -304,31 +256,14 @@ quickGrid()
     return grid;
 }
 
-/** quick's shape over the 4 trace generators (golden-pinned like it). */
-Grid
-traceQuickGrid()
-{
-    Grid grid{"trace-quick", {}};
-    for (const auto &bench : traceBenchmarkNames()) {
-        for (core::Model model : core::allModels) {
-            SweepPoint p = paperPoint(bench, model, Scale::Quick,
-                                      /*big_cache=*/false,
-                                      /*line_bytes=*/16, /*procs=*/8);
-            p.seed = p.derivedSeed();
-            grid.points.push_back(std::move(p));
-        }
-    }
-    return grid;
-}
-
 } // namespace
 
 const std::vector<std::string> &
 gridNames()
 {
     static const std::vector<std::string> names = {
-        "quick", "trace-quick", "fig2", "fig4",   "fig5",      "fig6",
-        "fig7",  "fig8",        "fig9", "table2", "tables3_6"};
+        "quick", "fig2", "fig4",   "fig5",     "fig6",
+        "fig7",  "fig8", "fig9",   "table2",   "tables3_6"};
     return names;
 }
 
@@ -339,8 +274,6 @@ namedGrid(const std::string &name, Scale scale)
     Grid grid{name, {}};
     if (name == "quick")
         return quickGrid();
-    if (name == "trace-quick")
-        return traceQuickGrid();
     if (name == "fig2" || name == "table2") {
         crossInto(grid, benchmarkNames(), {Model::SC1}, scale,
                   {false, true});

@@ -45,16 +45,10 @@ unsigned largeCache(Scale scale);
 /** Benchmark names in the paper's presentation order. */
 const std::vector<std::string> &benchmarkNames();
 
-/** Trace-replay benchmark names (one per synthetic generator). */
-const std::vector<std::string> &traceBenchmarkNames();
-
 /** One configuration point of a sweep. */
 struct SweepPoint
 {
-    /** Workload: Gauss / Qsort / Relax / Psim / Synthetic, or a
-     *  trace-replay point (TraceZipf / TraceBurst / TraceRing /
-     *  TraceLock: the generator runs in-memory at makeWorkload time, so
-     *  the point stays self-contained and reproducible in isolation). */
+    /** Workload: Gauss / Qsort / Relax / Psim / Synthetic. */
     std::string benchmark = "Gauss";
     core::Model model = core::Model::SC1;
     Scale scale = Scale::Scaled;
@@ -119,9 +113,7 @@ const std::vector<std::string> &gridNames();
  * Build a named grid: fig2, fig4..fig9, table2, tables3_6 (the paper
  * experiments, at @p scale), quick (the CI grid: all 7 models x 4
  * workloads at one small configuration, always Quick scale, per-point
- * derived seeds), or trace-quick (quick's shape over the 4 synthetic
- * trace generators instead of the paper workloads). fatal() on unknown
- * names.
+ * derived seeds). fatal() on unknown names.
  */
 Grid namedGrid(const std::string &name, Scale scale);
 

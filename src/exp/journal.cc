@@ -7,23 +7,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "sim/bytes.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "trace/format.hh"
 
 namespace mcsim::exp
 {
 
 namespace
 {
-
-using trace::crc32;
-using trace::getU16;
-using trace::getU32;
-using trace::getU64;
-using trace::putU16;
-using trace::putU32;
-using trace::putU64;
 
 /** Frame magic: "MCJF" leads every checkpoint frame. */
 constexpr std::uint32_t frameMagic = 0x464A434Du;

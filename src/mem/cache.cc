@@ -168,7 +168,7 @@ Cache::bumpGrantFloor(Addr line_addr, std::uint32_t seq)
 {
     const Addr line_no = line_addr / cfg.lineBytes;
     std::uint32_t &floor =
-        grantFloor[line_no / floorPageLines][line_no % floorPageLines];
+        grantFloor[line_no / floorPageLines].floor[line_no % floorPageLines];
     floor = std::max(floor, seq);
 }
 
@@ -177,8 +177,17 @@ Cache::grantFloorOf(Addr line_addr) const
 {
     const Addr line_no = line_addr / cfg.lineBytes;
     auto it = grantFloor.find(line_no / floorPageLines);
-    return it == grantFloor.end() ? 0
-                                  : it->second[line_no % floorPageLines];
+    return it == grantFloor.end()
+               ? 0
+               : it->second.floor[line_no % floorPageLines];
+}
+
+void
+Cache::markInvalidated(Addr line_addr)
+{
+    const Addr line_no = line_addr / cfg.lineBytes;
+    grantFloor[line_no / floorPageLines].invalidated |=
+        static_cast<std::uint16_t>(1u << (line_no % floorPageLines));
 }
 
 void
@@ -238,7 +247,17 @@ Cache::launchMiss(Line &way_line, std::uint32_t set, Addr line_addr,
 
     if (way_line.state != LineState::Invalid)
         evict(way_line);
-    const std::uint32_t floor = grantFloorOf(line_addr);
+    // One page lookup yields the floor and takes the invalidation flag.
+    std::uint32_t floor = 0;
+    bool was_invalidated = false;
+    const Addr line_no = line_addr / cfg.lineBytes;
+    if (auto it = grantFloor.find(line_no / floorPageLines);
+        it != grantFloor.end()) {
+        const Addr slot = line_no % floorPageLines;
+        floor = it->second.floor[slot];
+        was_invalidated = ((it->second.invalidated >> slot) & 1u) != 0;
+        it->second.invalidated &= static_cast<std::uint16_t>(~(1u << slot));
+    }
 
     way_line.lineAddr = line_addr;
     way_line.state = LineState::Pending;
@@ -268,8 +287,7 @@ Cache::launchMiss(Line &way_line, std::uint32_t set, Addr line_addr,
     if (!is_prefetch)
         mshr->cookies.push_back(cookie);
 
-    if (invalidatedLines.erase(line_addr) > 0 && !is_prefetch &&
-        count_inval) {
+    if (was_invalidated && !is_prefetch && count_inval) {
         cacheStats.invalidationMisses += 1;
     }
 
@@ -657,7 +675,7 @@ Cache::applyInvalidate(Addr line_addr)
                  static_cast<int>(line->state));
     line->state = LineState::Invalid;
     line->lineAddr = invalidAddr;
-    invalidatedLines.insert(line_addr);
+    markInvalidated(line_addr);
     if (checker)
         checker->onCacheLineEvent(procId, line_addr);
 }
@@ -673,7 +691,7 @@ Cache::applyRecall(Addr line_addr, bool exclusive_recall)
     if (exclusive_recall) {
         line->state = LineState::Invalid;
         line->lineAddr = invalidAddr;
-        invalidatedLines.insert(line_addr);
+        markInvalidated(line_addr);
     } else {
         line->state = LineState::Shared;
     }
@@ -692,7 +710,7 @@ Cache::surrenderClean(Line &line, std::uint32_t recall_seq)
     const Addr line_addr = line.lineAddr;
     line.state = LineState::Invalid;
     line.lineAddr = invalidAddr;
-    invalidatedLines.insert(line_addr);
+    markInvalidated(line_addr);
     if (checker)
         checker->onCacheLineEvent(procId, line_addr);
     sendRequest(MsgKind::RecallStale, line_addr, false, 0, recall_seq);

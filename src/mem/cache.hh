@@ -21,7 +21,6 @@
 #include <functional>
 #include <utility>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -292,6 +291,9 @@ class Cache
     void bumpGrantFloor(Addr line_addr, std::uint32_t seq);
     std::uint32_t grantFloorOf(Addr line_addr) const;
     /** @} */
+    /** Flag @p line_addr as removed by coherence: its next demand miss
+     *  counts as an invalidation miss. */
+    void markInvalidated(Addr line_addr);
 
     void fireCompletion(std::uint64_t cookie, Tick when);
     void notifyRetry();
@@ -304,8 +306,6 @@ class Cache
 
     std::vector<Line> lines;  ///< sets * assoc, way-major within set
     std::vector<Mshr> mshrs;
-    /** Lines removed by coherence; a later miss on one is an inv. miss. */
-    std::unordered_set<Addr> invalidatedLines;
     /** Per-line minimum acceptable grant seq. An MSHR's minAcceptSeq dies
      *  with the MSHR, but a stale grant (from a retry or a network
      *  duplicate) can outlive it and arrive at a LATER miss on the same
@@ -315,10 +315,17 @@ class Cache
      *  in launchMiss and stamps every Get*. Every line a cache has touched
      *  gets one, so floors are kept in pages of consecutive lines: the
      *  dense ranges workloads touch cost ~4 bytes a line instead of a hash
-     *  node each. */
+     *  node each. The page also carries each line's invalidation-miss
+     *  flag; coherence bumps a line's floor before removing it, so the
+     *  flag never needs a page of its own. */
     static constexpr unsigned floorPageLines = 16;
-    std::unordered_map<Addr, std::array<std::uint32_t, floorPageLines>>
-        grantFloor;
+    struct FloorPage
+    {
+        std::array<std::uint32_t, floorPageLines> floor{};
+        /** Bit i: line i was removed by coherence since its last miss. */
+        std::uint16_t invalidated = 0;
+    };
+    std::unordered_map<Addr, FloorPage> grantFloor;
 
     /** Close the current MSHR-occupancy interval and apply @p delta busy
      *  MSHRs from now on. */

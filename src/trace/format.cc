@@ -1,117 +1,11 @@
 #include "trace/format.hh"
 
-#include <array>
 #include <cstring>
 
 #include "sim/logging.hh"
 
 namespace mcsim::trace
 {
-
-const char *
-generatorName(Generator generator)
-{
-    switch (generator) {
-      case Generator::Captured: return "captured";
-      case Generator::Zipfian: return "zipf";
-      case Generator::Bursty: return "burst";
-      case Generator::Ring: return "ring";
-      case Generator::LockStorm: return "lock";
-    }
-    return "?";
-}
-
-Generator
-generatorFromName(const std::string &name)
-{
-    if (name == "captured")
-        return Generator::Captured;
-    if (name == "zipf")
-        return Generator::Zipfian;
-    if (name == "burst")
-        return Generator::Bursty;
-    if (name == "ring")
-        return Generator::Ring;
-    if (name == "lock")
-        return Generator::LockStorm;
-    fatal("unknown generator '%s' (zipf/burst/ring/lock)", name.c_str());
-}
-
-void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    for (unsigned i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t
-getU16(const std::uint8_t *p)
-{
-    return static_cast<std::uint16_t>(p[0] |
-                                      (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-namespace
-{
-
-/** CRC-32 (reflected 0xEDB88320) lookup table, built once. */
-std::array<std::uint32_t, 256>
-makeCrcTable()
-{
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (unsigned k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
-    }
-    return table;
-}
-
-} // namespace
-
-std::uint32_t
-crc32(const void *data, std::size_t size, std::uint32_t seed)
-{
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    return c ^ 0xFFFFFFFFu;
-}
 
 namespace
 {
@@ -346,7 +240,7 @@ encodeHeader(const TraceHeader &header)
     putU16(out, traceVersion);
     putU16(out, 0);
     putU32(out, header.procCount);
-    putU32(out, static_cast<std::uint32_t>(header.generator));
+    putU32(out, 0);  // reserved generator id: always 0
     putU64(out, header.seed);
     putU64(out, header.totalRecords);
     char label[sourceBytes] = {};
@@ -375,10 +269,8 @@ decodeHeader(const std::uint8_t *data)
 
     TraceHeader header;
     header.procCount = getU32(data + 8);
-    const std::uint32_t gen = getU32(data + 12);
-    if (gen > static_cast<std::uint32_t>(Generator::LockStorm))
+    if (const std::uint32_t gen = getU32(data + 12); gen != 0)
         fatal("trace: unknown generator id %u in header", gen);
-    header.generator = static_cast<Generator>(gen);
     header.seed = getU64(data + 16);
     header.totalRecords = getU64(data + 24);
     const char *label = reinterpret_cast<const char *>(data + 32);

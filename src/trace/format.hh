@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cpu/processor.hh"
+#include "sim/bytes.hh"
 #include "sim/types.hh"
 
 namespace mcsim::trace
@@ -54,28 +55,12 @@ constexpr std::uint32_t maxBlockPayload = 1u << 20;
 /** Upper bound on records per block (writer flush threshold). */
 constexpr std::uint32_t blockRecordLimit = 4096;
 
-/** Who produced a trace (header field; names are the CLI vocabulary). */
-enum class Generator : std::uint8_t
-{
-    Captured,  ///< recorded from a workload run (TraceCapture)
-    Zipfian,   ///< zipfian hot-key key-value traffic
-    Bursty,    ///< bursty open-loop request arrivals
-    Ring,      ///< producer/consumer rings between neighbours
-    LockStorm, ///< lock-contention storm on few hot locks
-};
-
-const char *generatorName(Generator generator);
-
-/** Parse a generator CLI name ("zipf", ...); fatal() on unknown names. */
-Generator generatorFromName(const std::string &name);
-
 /** Decoded file header. */
 struct TraceHeader
 {
     std::uint32_t procCount = 0;
     std::uint64_t seed = 0;
-    Generator generator = Generator::Captured;
-    /** Free-form origin label (workload or generator name), <= 23 chars. */
+    /** Free-form origin label (workload name or "import"), <= 23 chars. */
     std::string source;
     /** Total records across all processors (writer patches at finish). */
     std::uint64_t totalRecords = 0;
@@ -99,22 +84,6 @@ struct Record
 
     bool operator==(const Record &) const = default;
 };
-
-/** Little-endian scalar append helpers. @{ */
-void putU16(std::vector<std::uint8_t> &out, std::uint16_t v);
-void putU32(std::vector<std::uint8_t> &out, std::uint32_t v);
-void putU64(std::vector<std::uint8_t> &out, std::uint64_t v);
-/** @} */
-
-/** Little-endian scalar readers (no bounds check; caller slices). @{ */
-std::uint16_t getU16(const std::uint8_t *p);
-std::uint32_t getU32(const std::uint8_t *p);
-std::uint64_t getU64(const std::uint8_t *p);
-/** @} */
-
-/** CRC-32 (IEEE 802.3 polynomial) over @p size bytes. */
-std::uint32_t crc32(const void *data, std::size_t size,
-                    std::uint32_t seed = 0);
 
 /**
  * Per-block delta-codec state. Reset at every block boundary (both
@@ -147,7 +116,7 @@ std::vector<std::uint8_t> encodeHeader(const TraceHeader &header);
 /**
  * Parse and validate the fixed header in @p data (at least headerBytes
  * long as sliced by the caller). fatal() on bad magic, unsupported
- * version, or header CRC mismatch.
+ * version, header CRC mismatch, or a nonzero generator field.
  */
 TraceHeader decodeHeader(const std::uint8_t *data);
 

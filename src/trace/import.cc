@@ -159,7 +159,6 @@ importTextTrace(const std::string &text, const ImportParams &params,
     TraceHeader header;
     header.procCount = procs;
     header.seed = params.seed;
-    header.generator = Generator::Captured;
     header.source = "import";
 
     TraceWriter writer(header, sink);

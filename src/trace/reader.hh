@@ -36,7 +36,7 @@ class TraceSource
                       std::size_t n) const = 0;
 };
 
-/** In-memory trace bytes (generator output, tests). */
+/** In-memory trace bytes (capture output, tests). */
 class MemorySource : public TraceSource
 {
   public:

@@ -5,24 +5,19 @@
 namespace mcsim::trace
 {
 
-TraceWorkload::TraceWorkload(std::shared_ptr<const TraceSource> source,
-                             std::string name)
+TraceWorkload::TraceWorkload(std::shared_ptr<const TraceSource> source)
     : reader(std::move(source)), summary(reader.validate()),
-      label(std::move(name)),
+      label(strprintf("Trace(%s)", reader.header().source.empty()
+                                       ? "unnamed"
+                                       : reader.header().source.c_str())),
       retired(std::make_shared<std::vector<std::uint64_t>>())
-{
-    if (label.empty()) {
-        label = strprintf("Trace(%s)", reader.header().source.empty()
-                                           ? "unnamed"
-                                           : reader.header().source.c_str());
-    }
-}
+{}
 
 std::unique_ptr<TraceWorkload>
-TraceWorkload::fromFile(const std::string &path, std::string label)
+TraceWorkload::fromFile(const std::string &path)
 {
     return std::make_unique<TraceWorkload>(
-        std::make_shared<FileSource>(path), std::move(label));
+        std::make_shared<FileSource>(path));
 }
 
 namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace replay: a Workload that re-issues a stored instruction stream,
- * making any trace -- captured or generated -- runnable on all seven
+ * making any trace -- captured or imported -- runnable on all seven
  * consistency models through the unchanged timing machinery.
  *
  * Replay is exact for the configuration a trace was captured on: the
@@ -31,17 +31,14 @@ class TraceWorkload : public workloads::Workload
 {
   public:
     /**
-     * @p label names the workload in results ("TraceZipf", ...); empty
-     * derives one from the trace's source field. fatal() -- a
-     * recoverable FatalError, no machine started -- on any malformed
+     * The workload is named after the trace's source field. fatal() --
+     * a recoverable FatalError, no machine started -- on any malformed
      * trace.
      */
-    explicit TraceWorkload(std::shared_ptr<const TraceSource> source,
-                           std::string label = "");
+    explicit TraceWorkload(std::shared_ptr<const TraceSource> source);
 
     /** Open + validate a trace file. */
-    static std::unique_ptr<TraceWorkload>
-    fromFile(const std::string &path, std::string label = "");
+    static std::unique_ptr<TraceWorkload> fromFile(const std::string &path);
 
     std::string name() const override { return label; }
     void setup(core::Machine &machine) override;
@@ -54,18 +51,6 @@ class TraceWorkload : public workloads::Workload
      * apply. Coherence and ordering checks stay on.
      */
     bool dataRaceFree() const override { return false; }
-
-    /**
-     * The chaos fingerprint is the trace content hash: what replay
-     * computes is traffic, and the invariant faults must preserve is
-     * "the same trace fully retired under checkers" -- the final memory
-     * image legitimately varies with timing when racing stores land in
-     * a different order. verify() separately asserts full retirement.
-     */
-    std::uint64_t resultFingerprint(core::Machine &) const override
-    {
-        return summary.contentHash;
-    }
 
     const TraceHeader &header() const { return reader.header(); }
     const TraceSummary &traceSummary() const { return summary; }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Trace emission: a byte sink abstraction (memory buffer or file) and
- * the block-framing TraceWriter shared by capture and the synthetic
- * generators, so every producer emits the identical format.
+ * the block-framing TraceWriter shared by capture and text import, so
+ * every producer emits the identical format.
  */
 
 #ifndef MCSIM_TRACE_WRITER_HH
@@ -31,7 +31,7 @@ class ByteSink
                        std::size_t size) = 0;
 };
 
-/** Accumulate the trace in memory (generators, tests). */
+/** Accumulate the trace in memory (capture, tests). */
 class MemorySink : public ByteSink
 {
   public:

@@ -57,23 +57,6 @@ TEST(Determinism, JsonByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(csv1, csv4);
 }
 
-TEST(Determinism, TraceGridIsByteIdenticalAcrossThreadCounts)
-{
-    // The trace-replay benches hold the same contract as the paper
-    // workloads: generators and replay are deterministic, so the grid
-    // document is identical at any worker count.
-    const exp::Grid full =
-        exp::namedGrid("trace-quick", exp::Scale::Quick);
-    exp::Grid slice{full.name, {}};
-    for (std::size_t i = 0; i < full.points.size(); i += 5)
-        slice.points.push_back(full.points[i]);
-
-    const std::string serial = runWithThreads(slice, 1).toJson().dump();
-    const std::string threaded =
-        runWithThreads(slice, 4).toJson().dump();
-    EXPECT_EQ(serial, threaded);
-}
-
 TEST(Determinism, RepeatedPointIsBitIdentical)
 {
     exp::SweepPoint point;

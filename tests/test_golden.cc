@@ -89,23 +89,6 @@ TEST(Golden, CycleCountsMatchExactly)
     }
 }
 
-TEST(Golden, TraceQuickGridMatchesCommittedBaseline)
-{
-    // The trace-replay counterpart of the quick baseline: all seven
-    // models x the four synthetic generators. Regenerate after an
-    // intentional change with:
-    //   sweep_runner --grid trace-quick --golden-out tests/golden
-    exp::SweepOptions opts;
-    opts.progress = false;
-    const exp::SweepOutcomes out = exp::runGrid(
-        exp::namedGrid("trace-quick", exp::Scale::Quick), opts);
-    ASSERT_EQ(out.gridResults("trace-quick").size(), 28u);
-    const exp::GoldenDiff diff = exp::checkAgainstGoldenDir(
-        out.toJson(), MCSIM_GOLDEN_DIR, "trace-quick");
-    EXPECT_TRUE(diff.ok) << diff.report;
-    EXPECT_EQ(diff.divergences, 0u);
-}
-
 TEST(Golden, PerturbedBaselineNamesFirstDivergentMetric)
 {
     // Each perturbation of the committed baseline must fail and name

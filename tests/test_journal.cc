@@ -26,9 +26,9 @@
 #include "exp/grid.hh"
 #include "exp/journal.hh"
 #include "exp/sweep.hh"
+#include "sim/bytes.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "trace/format.hh"
 
 namespace
 {
@@ -300,19 +300,19 @@ TEST(Journal, VersionOneAndForeignJournalsAreRefused)
     // shard index/count, grid/shard points, fingerprint, 24-byte name,
     // steal slice/slices, CRC.
     std::vector<std::uint8_t> v1;
-    trace::putU32(v1, exp::journalMagic);
-    trace::putU16(v1, 1);
+    putU32(v1, exp::journalMagic);
+    putU16(v1, 1);
     v1.push_back(0);
     v1.push_back(0);
-    trace::putU32(v1, 0);
-    trace::putU32(v1, 1);
-    trace::putU32(v1, 6);
-    trace::putU32(v1, 6);
-    trace::putU64(v1, exp::journalFingerprint(grid));
+    putU32(v1, 0);
+    putU32(v1, 1);
+    putU32(v1, 6);
+    putU32(v1, 6);
+    putU64(v1, exp::journalFingerprint(grid));
     v1.resize(v1.size() + 24, 0);
-    trace::putU16(v1, 0);
-    trace::putU16(v1, 0);
-    trace::putU32(v1, trace::crc32(v1.data(), v1.size()));
+    putU16(v1, 0);
+    putU16(v1, 0);
+    putU32(v1, crc32(v1.data(), v1.size()));
     ASSERT_EQ(v1.size(), 64u);
     const std::string old_path = dir + "/v1.mcsj";
     writeBytes(old_path, std::string(v1.begin(), v1.end()));

@@ -2,7 +2,7 @@
  * @file
  * trace_runner: the command-line face of src/trace/ -- record workload
  * runs as trace files, replay traces through any consistency model,
- * generate synthetic datacenter traffic, and inspect/validate files.
+ * import text traces, and inspect/validate files.
  *
  * Usage:
  *   trace_runner record   --benchmark NAME --model MODEL --out FILE
@@ -11,12 +11,6 @@
  *   trace_runner replay   --trace FILE [--model MODEL|all]
  *                         [--cache-bytes N] [--line-bytes N] [--delay N]
  *                         [--check] [--json FILE]
- *   trace_runner generate --gen zipf|burst|ring|lock --out FILE
- *                         [--procs N] [--ops N] [--seed N]
- *                         [--hot-keys N] [--skew F] [--store-fraction F]
- *                         [--burst-max N] [--idle-max N]
- *                         [--object-words N] [--ring-slots N]
- *                         [--payload-words N] [--locks N] [--hold-ops N]
  *   trace_runner import   --text FILE --out FILE [--procs N] [--seed N]
  *   trace_runner inspect  --trace FILE
  *
@@ -24,11 +18,10 @@
  * 16-byte lines, delay 4) with the point's derived seed, so a recorded
  * trace replays cycle-identically against the golden quick numbers.
  * replay runs the trace on the recorded processor count; --model all
- * sweeps the seven models. generate emits seed-stable synthetic
- * traffic; the same flags always produce the identical file. import
- * converts the classic text trace syntax (one `<proc> <r|w> <hex-addr>`
- * transaction per line, e.g. "5 w 0xabcd") into a validated .mct;
- * malformed lines are rejected with their line number, never skipped.
+ * sweeps the seven models. import converts the classic text trace
+ * syntax (one `<proc> <r|w> <hex-addr>` transaction per line, e.g.
+ * "5 w 0xabcd") into a validated .mct; malformed lines are rejected
+ * with their line number, never skipped.
  *
  * Exit status: 0 success, 1 on malformed traces or failed runs
  * (structured one-line error, no partial results), 2 on usage errors.
@@ -48,7 +41,6 @@
 #include "exp/json.hh"
 #include "sim/logging.hh"
 #include "trace/capture.hh"
-#include "trace/generators.hh"
 #include "trace/import.hh"
 #include "trace/replay.hh"
 #include "workloads/workload.hh"
@@ -72,17 +64,10 @@ usage(const char *argv0)
         "       %s replay   --trace FILE [--model MODEL|all]\n"
         "                   [--cache-bytes N] [--line-bytes N]\n"
         "                   [--delay N] [--check] [--json FILE]\n"
-        "       %s generate --gen zipf|burst|ring|lock --out FILE\n"
-        "                   [--procs N] [--ops N] [--seed N]\n"
-        "                   [--hot-keys N] [--skew F]\n"
-        "                   [--store-fraction F] [--burst-max N]\n"
-        "                   [--idle-max N] [--object-words N]\n"
-        "                   [--ring-slots N] [--payload-words N]\n"
-        "                   [--locks N] [--hold-ops N]\n"
         "       %s import   --text FILE --out FILE [--procs N] "
         "[--seed N]\n"
         "       %s inspect  --trace FILE\n",
-        argv0, argv0, argv0, argv0, argv0);
+        argv0, argv0, argv0, argv0);
 }
 
 [[noreturn]] void
@@ -103,7 +88,6 @@ struct Options
     std::string textPath;
     std::string out;
     std::string json;
-    std::string gen;
     exp::Scale scale = exp::Scale::Quick;
     unsigned procs = 0;
     unsigned cacheBytes = 0;
@@ -111,18 +95,7 @@ struct Options
     unsigned delay = 0;
     std::uint64_t seed = 0;
     bool check = false;
-    trace::GeneratorParams genParams;
 };
-
-double
-nextDouble(const char *argv0, const std::string &flag, const char *text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        configError(argv0, flag + " expects a number, got '" + text + "'");
-    return value;
-}
 
 Options
 parseArgs(int argc, char **argv)
@@ -132,15 +105,14 @@ parseArgs(int argc, char **argv)
     Options opt;
     opt.subcommand = argv[1];
     if (opt.subcommand != "record" && opt.subcommand != "replay" &&
-        opt.subcommand != "generate" && opt.subcommand != "import" &&
-        opt.subcommand != "inspect") {
+        opt.subcommand != "import" && opt.subcommand != "inspect") {
         if (opt.subcommand == "--help" || opt.subcommand == "-h") {
             usage(argv[0]);
             std::exit(0);
         }
         configError(argv[0],
                     "unknown subcommand '" + opt.subcommand +
-                        "' (record/replay/generate/import/inspect)");
+                        "' (record/replay/import/inspect)");
     }
 
     for (int i = 2; i < argc; ++i) {
@@ -178,8 +150,6 @@ parseArgs(int argc, char **argv)
             opt.out = next();
         } else if (arg == "--json") {
             opt.json = next();
-        } else if (arg == "--gen") {
-            opt.gen = next();
         } else if (arg == "--scale") {
             try {
                 opt.scale = exp::scaleFromName(next());
@@ -198,29 +168,6 @@ parseArgs(int argc, char **argv)
             opt.seed = nextU64();
         } else if (arg == "--check") {
             opt.check = true;
-        } else if (arg == "--ops") {
-            opt.genParams.opsPerProc = nextUnsigned();
-        } else if (arg == "--hot-keys") {
-            opt.genParams.hotKeys = nextUnsigned();
-        } else if (arg == "--skew") {
-            opt.genParams.zipfSkew = nextDouble(argv[0], arg, next());
-        } else if (arg == "--store-fraction") {
-            opt.genParams.storeFraction =
-                nextDouble(argv[0], arg, next());
-        } else if (arg == "--burst-max") {
-            opt.genParams.burstMax = nextUnsigned();
-        } else if (arg == "--idle-max") {
-            opt.genParams.idleMax = nextUnsigned();
-        } else if (arg == "--object-words") {
-            opt.genParams.objectWords = nextUnsigned();
-        } else if (arg == "--ring-slots") {
-            opt.genParams.ringSlots = nextUnsigned();
-        } else if (arg == "--payload-words") {
-            opt.genParams.payloadWords = nextUnsigned();
-        } else if (arg == "--locks") {
-            opt.genParams.locks = nextUnsigned();
-        } else if (arg == "--hold-ops") {
-            opt.genParams.holdOps = nextUnsigned();
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             std::exit(0);
@@ -287,7 +234,6 @@ runRecord(const Options &opt)
     trace::TraceHeader header;
     header.procCount = point.numProcs;
     header.seed = point.seed;
-    header.generator = trace::Generator::Captured;
     header.source = point.benchmark;
 
     trace::FileSink sink(opt.out);
@@ -351,8 +297,8 @@ runReplay(const Options &opt)
     auto workload = trace::TraceWorkload::fromFile(opt.tracePath);
     const trace::TraceHeader &header = workload->header();
     std::printf("%s: %s trace, %u procs, %llu records, seed %llu\n",
-                opt.tracePath.c_str(),
-                trace::generatorName(header.generator), header.procCount,
+                opt.tracePath.c_str(), header.source.c_str(),
+                header.procCount,
                 static_cast<unsigned long long>(header.totalRecords),
                 static_cast<unsigned long long>(header.seed));
 
@@ -377,10 +323,9 @@ runReplay(const Options &opt)
 
     if (!opt.json.empty()) {
         exp::Json doc = exp::Json::object();
-        doc["schema"] = exp::Json("mcsim-trace-replay-v1");
+        doc["schema"] = exp::Json("mcsim-trace-replay-v2");
         doc["trace"] = exp::Json(opt.tracePath);
-        doc["generator"] =
-            exp::Json(trace::generatorName(header.generator));
+        doc["source"] = exp::Json(header.source);
         doc["procs"] = exp::Json(header.procCount);
         doc["records"] = exp::Json(
             static_cast<double>(header.totalRecords));
@@ -392,41 +337,6 @@ runReplay(const Options &opt)
         }
         out << doc.dump() << "\n";
     }
-    return 0;
-}
-
-int
-runGenerate(const Options &opt)
-{
-    if (opt.gen.empty())
-        configError("trace_runner", "generate requires --gen");
-    if (opt.out.empty())
-        configError("trace_runner", "generate requires --out");
-    trace::GeneratorParams params = opt.genParams;
-    try {
-        params.kind = trace::generatorFromName(opt.gen);
-    } catch (const FatalError &err) {
-        configError("trace_runner", err.what());
-    }
-    if (opt.procs)
-        params.procs = opt.procs;
-    if (opt.seed)
-        params.seed = opt.seed;
-
-    trace::FileSink sink(opt.out);
-    trace::generateTrace(params, sink);
-    sink.close();
-
-    // Re-open and fully validate: a generator bug must fail the command,
-    // never linger as a bad artifact.
-    const auto workload = trace::TraceWorkload::fromFile(opt.out);
-    std::printf("generated %s trace: %u procs, %llu records, seed %llu "
-                "-> %s\n",
-                opt.gen.c_str(), params.procs,
-                static_cast<unsigned long long>(
-                    workload->header().totalRecords),
-                static_cast<unsigned long long>(params.seed),
-                opt.out.c_str());
     return 0;
 }
 
@@ -463,8 +373,6 @@ runInspect(const Options &opt)
     const trace::TraceHeader &header = reader.header();
 
     std::printf("trace:      %s\n", opt.tracePath.c_str());
-    std::printf("generator:  %s\n",
-                trace::generatorName(header.generator));
     std::printf("source:     %s\n", header.source.c_str());
     std::printf("version:    %u\n",
                 static_cast<unsigned>(trace::traceVersion));
@@ -507,8 +415,6 @@ main(int argc, char **argv)
             return runRecord(opt);
         if (opt.subcommand == "replay")
             return runReplay(opt);
-        if (opt.subcommand == "generate")
-            return runGenerate(opt);
         if (opt.subcommand == "import")
             return runImport(opt);
         return runInspect(opt);
