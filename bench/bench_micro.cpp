@@ -19,7 +19,6 @@
 #include "core/machine.hh"
 #include "mem/cache.hh"
 #include "mem/memory_module.hh"
-#include "mem/outbox.hh"
 #include "net/iface_buffer.hh"
 #include "net/omega_network.hh"
 #include "net/topology.hh"
@@ -154,11 +153,10 @@ BM_CacheHitPath(benchmark::State &state)
     EventQueue q;
     net::OmegaNetwork<mem::CoherenceMsg> reqNet(
         q, 4, 4, [](mem::NetMsg &&) {});
-    net::IfaceBuffer<mem::CoherenceMsg> buf(q, reqNet, 4, false);
-    mem::Outbox out(buf, false);
+    mem::Port port(q, reqNet, 4, false);
     mem::CacheParams params;
     params.cacheBytes = 16 * 1024;
-    mem::Cache cache(q, 0, params, out, 4);
+    mem::Cache cache(q, 0, params, port, 4);
     // Warm one line by hand: issue a miss, then drop the reply in.
     cache.access(0x100, mem::AccessType::Load, 1);
     mem::NetMsg reply;

@@ -54,12 +54,10 @@ Machine::Machine(const MachineConfig &config) : cfg(config)
     mem_params.numProcs = cfg.numProcs;
 
     for (unsigned m = 0; m < cfg.numModules; ++m) {
-        respBufs.push_back(std::make_unique<Buffer>(
+        respBufs.push_back(std::make_unique<mem::Port>(
             queue, *respNet, cfg.bufferEntries, /*bypass=*/false));
-        memOut.push_back(
-            std::make_unique<mem::Outbox>(*respBufs.back(), false));
         modules.push_back(std::make_unique<mem::MemoryModule>(
-            queue, m, mem_params, *memOut.back()));
+            queue, m, mem_params, *respBufs.back()));
     }
 
     mem::CacheParams cache_params;
@@ -69,16 +67,13 @@ Machine::Machine(const MachineConfig &config) : cfg(config)
     cache_params.numMshrs = model.numMshrs;
     cache_params.missHandleCycles = cfg.missHandleCycles;
     cache_params.fillCycles = cfg.fillCycles;
-    cache_params.bypassLoads = model.loadBypass;
     cache_params.nextLinePrefetch = cfg.nextLinePrefetch;
 
     for (unsigned p = 0; p < cfg.numProcs; ++p) {
-        reqBufs.push_back(std::make_unique<Buffer>(
+        reqBufs.push_back(std::make_unique<mem::Port>(
             queue, *reqNet, cfg.bufferEntries, model.loadBypass));
-        procOut.push_back(
-            std::make_unique<mem::Outbox>(*reqBufs.back(), model.loadBypass));
         caches.push_back(std::make_unique<mem::Cache>(
-            queue, p, cache_params, *procOut.back(), cfg.numModules));
+            queue, p, cache_params, *reqBufs.back(), cfg.numModules));
 
         cpu::ProcParams proc_params;
         proc_params.id = p;
@@ -231,12 +226,12 @@ Machine::diagnosticSnapshot() const
     for (unsigned p = 0; p < cfg.numProcs; ++p) {
         const auto &proc = *procs[p];
         out += strprintf(
-            "  proc %u: %s, %llu instrs, %u outstanding, outbox backlog "
-            "%zu, iface buffer %zu\n",
+            "  proc %u: %s, %llu instrs, %u outstanding, iface buffer "
+            "%zu, overflow %zu\n",
             p, proc.done() ? "done" : "running",
             static_cast<unsigned long long>(proc.stats().instructions),
-            proc.outstandingRefs(), procOut[p]->backlog(),
-            reqBufs[p]->occupancy());
+            proc.outstandingRefs(), reqBufs[p]->occupancy(),
+            reqBufs[p]->backlog());
         for (const auto &m : caches[p]->pendingMshrs()) {
             out += strprintf(
                 "    mshr line 0x%llx %s%s, issued at %llu, %u retries\n",
@@ -248,14 +243,14 @@ Machine::diagnosticSnapshot() const
     }
     for (unsigned m = 0; m < cfg.numModules; ++m) {
         if (modules[m]->openTransactions() == 0 &&
-            memOut[m]->backlog() == 0 && respBufs[m]->occupancy() == 0) {
+            respBufs[m]->occupancy() == 0 && respBufs[m]->backlog() == 0) {
             continue;
         }
         out += strprintf(
-            "  module %u: %zu open transactions, outbox backlog %zu, "
-            "iface buffer %zu\n",
-            m, modules[m]->openTransactions(), memOut[m]->backlog(),
-            respBufs[m]->occupancy());
+            "  module %u: %zu open transactions, iface buffer %zu, "
+            "overflow %zu\n",
+            m, modules[m]->openTransactions(), respBufs[m]->occupancy(),
+            respBufs[m]->backlog());
     }
     if (planPtr) {
         const fault::FaultStats &fs = planPtr->stats();

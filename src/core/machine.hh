@@ -21,7 +21,6 @@
 #include "mem/cache.hh"
 #include "mem/functional_memory.hh"
 #include "mem/memory_module.hh"
-#include "mem/outbox.hh"
 #include "net/iface_buffer.hh"
 #include "net/omega_network.hh"
 #include "obs/tracer.hh"
@@ -37,7 +36,6 @@ class Machine
 {
   public:
     using Network = net::OmegaNetwork<mem::CoherenceMsg>;
-    using Buffer = net::IfaceBuffer<mem::CoherenceMsg>;
 
     explicit Machine(const MachineConfig &config);
 
@@ -101,7 +99,7 @@ class Machine
     /**
      * Multi-line dump of where every in-flight piece of work sits:
      * per-processor retirement/outstanding-ref/stall state, busy MSHRs
-     * with their retry attempts, outbox and interface buffer occupancy,
+     * with their retry attempts, interface buffer and overflow occupancy,
      * open directory transactions, fault-injection counters and the tail
      * of the event-trace ring. Attached to the deadlock / watchdog /
      * maxCycles / fault-free-discard fatal()s.
@@ -121,13 +119,11 @@ class Machine
     std::unique_ptr<Network> reqNet;
     std::unique_ptr<Network> respNet;
 
-    std::vector<std::unique_ptr<Buffer>> reqBufs;    ///< per processor
-    std::vector<std::unique_ptr<mem::Outbox>> procOut;
+    std::vector<std::unique_ptr<mem::Port>> reqBufs;   ///< per processor
     std::vector<std::unique_ptr<mem::Cache>> caches;
     std::vector<std::unique_ptr<cpu::Processor>> procs;
 
-    std::vector<std::unique_ptr<Buffer>> respBufs;   ///< per module
-    std::vector<std::unique_ptr<mem::Outbox>> memOut;
+    std::vector<std::unique_ptr<mem::Port>> respBufs;  ///< per module
     std::vector<std::unique_ptr<mem::MemoryModule>> modules;
 
     std::unique_ptr<check::Checker> checkerPtr;

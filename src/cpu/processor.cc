@@ -1,8 +1,5 @@
 #include "cpu/processor.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "axiom/trace.hh"
 #include "check/checker.hh"
 #include "sim/logging.hh"
@@ -28,27 +25,6 @@ unreachableOp(const char *stage, Processor::OpKind kind)
 }
 
 } // namespace
-
-bool
-Processor::traceEnabled()
-{
-    // The simulator is single-threaded and nothing calls setenv; the
-    // one-time read into a function-local static is benign.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    static const bool enabled = std::getenv("MCSIM_TRACE") != nullptr;
-    return enabled;
-}
-
-void
-Processor::trace(const char *what, Addr addr, std::uint64_t value) const
-{
-    if (traceEnabled()) {
-        std::fprintf(stderr, "%10llu p%-2u %-12s addr=%llx val=%llu\n",
-                     static_cast<unsigned long long>(queue.now()), cfg.id,
-                     what, static_cast<unsigned long long>(addr),
-                     static_cast<unsigned long long>(value));
-    }
-}
 
 std::uint64_t
 Processor::readMem(Addr addr, std::uint8_t width) const
@@ -482,15 +458,7 @@ Processor::handleHit()
                      : noTraceId;
         chargeBusy(1);
         chargeStall(obs::StallCause::Acquire, now + 1, now + cfg.loadDelay);
-        finishAtEval(now + cfg.loadDelay, [this, a, tid]() {
-            if (checker)
-                checker->onAcquire(cfg.id, a);
-            const std::uint64_t v = mem.readU64(a);
-            if (recorder)
-                recorder->bindRead(tid, v, queue.now());
-            trace("syncload.hit", a, v);
-            return v;
-        });
+        finishSyncHit(now + cfg.loadDelay, a, tid, /*rmw=*/false);
         return;
       }
       case OpKind::SyncRmw: {
@@ -501,15 +469,7 @@ Processor::handleHit()
                      : noTraceId;
         chargeBusy(1);
         chargeStall(obs::StallCause::Acquire, now + 1, now + cfg.loadDelay);
-        finishAtEval(now + cfg.loadDelay, [this, a, tid]() {
-            if (checker)
-                checker->onAcquire(cfg.id, a);
-            const std::uint64_t v = mem.testAndSet(a);
-            if (recorder)
-                recorder->bindRead(tid, v, queue.now());
-            trace("rmw.hit", a, v);
-            return v;
-        });
+        finishSyncHit(now + cfg.loadDelay, a, tid, /*rmw=*/true);
         return;
       }
       case OpKind::SyncStore:
@@ -523,7 +483,6 @@ Processor::handleHit()
                 cfg.id, op.addr, op.value, now);
             recorder->commitWrite(tid, now);
         }
-        trace("syncst.hit", op.addr, op.value);
         chargeBusy(1);
         finishAt(now + 1, 0);
         return;
@@ -816,7 +775,6 @@ Processor::onCompletion(std::uint64_t cookie)
             const std::uint64_t v = mem.readU64(rec.addr);
             if (recorder && rec.traceId != noTraceId)
                 recorder->bindRead(rec.traceId, v, now);
-            trace("syncload.cpl", rec.addr, v);
             resumeNow(v);
         }
         break;
@@ -831,7 +789,6 @@ Processor::onCompletion(std::uint64_t cookie)
             const std::uint64_t v = mem.testAndSet(rec.addr);
             if (recorder && rec.traceId != noTraceId)
                 recorder->bindRead(rec.traceId, v, now);
-            trace("rmw.cpl", rec.addr, v);
             resumeNow(v);
         }
         break;
@@ -840,7 +797,6 @@ Processor::onCompletion(std::uint64_t cookie)
         mem.writeU64(rec.addr, rec.value);
         if (recorder && rec.traceId != noTraceId)
             recorder->commitWrite(rec.traceId, now);
-        trace("syncst.cpl", rec.addr, rec.value);
         if (rec.isRelease) {
             releasePending = false;
             if (checker)
@@ -886,12 +842,22 @@ Processor::finishAt(Tick when, std::uint64_t result)
 }
 
 void
-Processor::finishAtEval(Tick when, std::function<std::uint64_t()> eval)
+Processor::finishSyncHit(Tick when, Addr addr, std::uint32_t trace_id,
+                         bool rmw)
 {
-    MCSIM_ASSERT(active, "finishAtEval without active op");
+    MCSIM_ASSERT(active, "finishSyncHit without active op");
     active->wait = WaitKind::None;
     queue.schedule(
-        when, [this, eval = std::move(eval)]() { resumeNow(eval()); },
+        when,
+        [this, addr, trace_id, rmw]() {
+            if (checker)
+                checker->onAcquire(cfg.id, addr);
+            const std::uint64_t v =
+                rmw ? mem.testAndSet(addr) : mem.readU64(addr);
+            if (recorder)
+                recorder->bindRead(trace_id, v, queue.now());
+            resumeNow(v);
+        },
         EventQueue::prioCpu);
 }
 

@@ -371,8 +371,10 @@ class Processor
 
     /** Finish the active op: resume at @p when with @p result. */
     void finishAt(Tick when, std::uint64_t result);
-    /** Finish at @p when with a result computed at resume time. */
-    void finishAtEval(Tick when, std::function<std::uint64_t()> eval);
+    /** Finish a SyncLoad (@p rmw false) or SyncRmw hit at @p when: the
+     *  acquire and the value read (or test-and-set) happen then. */
+    void finishSyncHit(Tick when, Addr addr, std::uint32_t trace_id,
+                       bool rmw);
     /** Resume the suspended coroutine right now with @p result. */
     void resumeNow(std::uint64_t result);
     void afterResume();
@@ -398,10 +400,6 @@ class Processor
     std::uint64_t nextToken = 1;
     std::uint64_t nextCookie = 1;
     unsigned outstanding = 0;
-
-    /** Tracing (enabled via MCSIM_TRACE env var): sync-op timeline. */
-    static bool traceEnabled();
-    void trace(const char *what, Addr addr, std::uint64_t value) const;
 
     /** RC release state: at most one pending release at a time. */
     bool releasePending = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/checker.hh"
+#include "net/iface_buffer.hh"
 #include "sim/logging.hh"
 
 namespace mcsim::mem
@@ -26,8 +27,8 @@ CacheParams::validate() const
 }
 
 Cache::Cache(EventQueue &eq, ProcId proc, const CacheParams &params,
-             Outbox &outbox, unsigned num_modules)
-    : queue(eq), procId(proc), cfg(params), out(outbox),
+             Port &port, unsigned num_modules)
+    : queue(eq), procId(proc), cfg(params), out(port),
       numModules(num_modules), lines(cfg.numSets() * cfg.assoc),
       mshrs(cfg.numMshrs)
 {
@@ -388,8 +389,8 @@ Cache::access(Addr addr, AccessType type, std::uint64_t cookie)
         return AccessOutcome::Blocked;
     }
     count(false);
-    const bool bypass =
-        cfg.bypassLoads && !wants_excl;  // load requests bypass under WO2
+    // Load requests are bypass-eligible; the port honours it under WO2.
+    const bool bypass = !wants_excl;
     launchMiss(*victim, set, line_addr, wants_excl, false, cookie, bypass,
                !isSync(type));
     if (cfg.nextLinePrefetch && !isSync(type))

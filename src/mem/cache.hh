@@ -5,12 +5,12 @@
  *
  * The cache tracks timing state only (tags, MESI-less I/S/M states, MSHRs);
  * data values live in FunctionalMemory. Misses allocate an MSHR and a
- * pending way, emit a GetShared/GetExclusive request through the Outbox,
- * and complete when the matching DataReply returns. Per the paper's
- * protocol, a store that hits a Shared line invalidates the local copy and
- * refetches the line with write permission -- i.e. it counts as a write
- * miss, which is the cause of the "curiously low" write hit ratios the
- * paper analyses for Qsort.
+ * pending way, emit a GetShared/GetExclusive request through the
+ * outbound port, and complete when the matching DataReply returns. Per
+ * the paper's protocol, a store that hits a Shared line invalidates the
+ * local copy and refetches the line with write permission -- i.e. it
+ * counts as a write miss, which is the cause of the "curiously low" write
+ * hit ratios the paper analyses for Qsort.
  */
 
 #ifndef MCSIM_MEM_CACHE_HH
@@ -25,7 +25,6 @@
 
 #include "fault/fault.hh"
 #include "mem/cache_stats.hh"
-#include "mem/outbox.hh"
 #include "obs/tracer.hh"
 #include "mem/protocol.hh"
 #include "sim/choice.hh"
@@ -83,12 +82,10 @@ struct CacheParams
     std::uint32_t lineBytes = 16;
     std::uint32_t assoc = 2;
     std::uint32_t numMshrs = 5;
-    /** Cycles from miss detection to the request entering the Outbox. */
+    /** Cycles from miss detection to the request entering the port. */
     std::uint32_t missHandleCycles = 2;
     /** Cycles from reply-head arrival to consumer completion. */
     std::uint32_t fillCycles = 3;
-    /** Mark load-miss requests bypass-eligible (WO2). */
-    bool bypassLoads = false;
     /** Sequential hardware prefetch: a demand miss also fetches the next
      *  line (shared mode) when an MSHR and a way are free. An extension
      *  in the spirit of the paper's conclusion that relaxed consistency
@@ -121,11 +118,11 @@ class Cache
      * @param eq shared event queue
      * @param proc owning processor id (network source port)
      * @param params geometry and latencies
-     * @param outbox request-network injection queue
+     * @param port request-network outbound port
      * @param num_modules memory module count (address interleaving)
      */
     Cache(EventQueue &eq, ProcId proc, const CacheParams &params,
-          Outbox &outbox, unsigned num_modules);
+          Port &port, unsigned num_modules);
 
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
@@ -301,7 +298,7 @@ class Cache
     EventQueue &queue;
     ProcId procId;
     CacheParams cfg;
-    Outbox &out;
+    Port &out;
     unsigned numModules;
 
     std::vector<Line> lines;  ///< sets * assoc, way-major within set

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "check/checker.hh"
+#include "net/iface_buffer.hh"
 #include "sim/logging.hh"
 
 namespace mcsim::mem
@@ -34,8 +35,8 @@ MemoryParams::validate() const
 }
 
 MemoryModule::MemoryModule(EventQueue &eq, ModuleId id,
-                           const MemoryParams &params, Outbox &outbox)
-    : queue(eq), moduleId(id), cfg(params), out(outbox)
+                           const MemoryParams &params, Port &port)
+    : queue(eq), moduleId(id), cfg(params), out(port)
 {
     cfg.validate();
 }

@@ -25,7 +25,6 @@
 #include <unordered_map>
 
 #include "fault/fault.hh"
-#include "mem/outbox.hh"
 #include "sim/choice.hh"
 #include "mem/protocol.hh"
 #include "obs/histogram.hh"
@@ -102,10 +101,10 @@ class MemoryModule
      * @param eq shared event queue
      * @param id this module's response-network source port
      * @param params timing parameters
-     * @param outbox response-network injection queue
+     * @param port response-network outbound port
      */
     MemoryModule(EventQueue &eq, ModuleId id, const MemoryParams &params,
-                 Outbox &outbox);
+                 Port &port);
 
     MemoryModule(const MemoryModule &) = delete;
     MemoryModule &operator=(const MemoryModule &) = delete;
@@ -206,7 +205,7 @@ class MemoryModule
     EventQueue &queue;
     ModuleId moduleId;
     MemoryParams cfg;
-    Outbox &out;
+    Port &out;
 
     std::unordered_map<Addr, DirEntry> dir;
     std::unordered_map<Addr, Txn> txns;

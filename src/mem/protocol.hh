@@ -23,6 +23,12 @@
 #include "net/message.hh"
 #include "sim/types.hh"
 
+namespace mcsim::net
+{
+template <typename Payload>
+class IfaceBuffer;
+} // namespace mcsim::net
+
 namespace mcsim::mem
 {
 
@@ -94,6 +100,10 @@ struct CoherenceMsg
 
 /** Message envelope type used by both machine networks. */
 using NetMsg = net::Msg<CoherenceMsg>;
+
+/** A controller's outbound port: interface buffer plus overflow
+ *  (net/iface_buffer.hh). */
+using Port = net::IfaceBuffer<CoherenceMsg>;
 
 /**
  * Well-formedness lint for a protocol message about to be injected

@@ -1,25 +1,30 @@
 /**
  * @file
- * The four-element buffer between a processor (or memory module) and its
- * network, per paper section 3.1, including the WO2 load-bypass behaviour
- * of section 3.2.
+ * The outbound port of one controller (processor cache or memory module):
+ * the four-element buffer between it and its network, per paper section
+ * 3.1, plus an unbounded overflow queue behind it, and the WO2
+ * load-bypass rule of section 3.2.
  *
  * Messages drain into the network one at a time; the buffer-to-network link
  * carries one flit per cycle, so a message of F flits holds the link for F
  * cycles and its head enters the stage-0 switch one cycle after it starts
- * draining. When bypassing is enabled, bypass-eligible messages (loads)
- * enter at the head of the waiting queue -- in front of waiting stores and
- * waiting loads alike, reproducing the paper's "simple, but slightly
- * flawed" implementation that its section 4.2.3 analyses.
+ * draining. Controllers can generate messages faster than the link drains
+ * them; whatever does not fit in the buffer waits in the overflow queue
+ * and moves into the buffer as slots free.
+ *
+ * When bypassing is enabled, a bypass-eligible message (a load) goes to
+ * the front of whichever queue it enters: in front of every message
+ * waiting in the overflow queue, or, when it enters the buffer, in front
+ * of waiting stores and waiting loads alike. This reproduces the paper's
+ * "simple, but slightly flawed" implementation that its section 4.2.3
+ * analyses.
  */
 
 #ifndef MCSIM_NET_IFACE_BUFFER_HH
 #define MCSIM_NET_IFACE_BUFFER_HH
 
 #include <deque>
-#include <functional>
 #include <utility>
-#include <vector>
 
 #include "net/message.hh"
 #include "net/net_stats.hh"
@@ -30,7 +35,7 @@
 namespace mcsim::net
 {
 
-/** FIFO (optionally load-bypassing) injection buffer for one network port. */
+/** Bounded (optionally load-bypassing) injection buffer with overflow. */
 template <typename Payload>
 class IfaceBuffer
 {
@@ -40,7 +45,7 @@ class IfaceBuffer
     /**
      * @param eq shared event queue
      * @param net network this buffer injects into
-     * @param capacity maximum queued messages (paper: 4)
+     * @param capacity buffer slots (paper: 4); the overflow is unbounded
      * @param bypass_enabled WO2 load bypassing
      */
     IfaceBuffer(EventQueue &eq, OmegaNetwork<Payload> &net, unsigned capacity,
@@ -51,20 +56,45 @@ class IfaceBuffer
     IfaceBuffer(const IfaceBuffer &) = delete;
     IfaceBuffer &operator=(const IfaceBuffer &) = delete;
 
-    /** True when no more messages can be accepted right now. */
+    /** Queue @p msg for injection; delivery order is FIFO (plus bypass). */
+    void
+    send(Message &&msg)
+    {
+        if (bypassEnabled && msg.bypassEligible && !overflow.empty())
+            overflow.push_front(std::move(msg));
+        else
+            overflow.push_back(std::move(msg));
+        refill();
+    }
+
+    /** True when every buffer slot is taken. */
     bool full() const { return waiting.size() >= cap; }
 
-    /** Currently queued (not yet injected) messages. */
+    /** Messages in the buffer (not yet injected). */
     std::size_t occupancy() const { return waiting.size(); }
+
+    /** Messages in the overflow queue (not yet in the buffer). */
+    std::size_t backlog() const { return overflow.size(); }
 
     /** Buffer statistics. */
     const BufferStats &stats() const { return bufStats; }
 
+  private:
     /**
-     * Try to accept @p msg. Returns false (and counts a reject) when the
-     * buffer is full; the caller should retry after registering an
-     * onSpace() callback.
+     * Move overflow messages into the buffer while slots are free. Each
+     * attempt that finds the buffer full counts one reject.
      */
+    void
+    refill()
+    {
+        while (!overflow.empty()) {
+            if (!tryEnqueue(std::move(overflow.front())))
+                return;
+            overflow.pop_front();
+        }
+    }
+
+    /** Accept @p msg into a buffer slot; false (a reject) when full. */
     bool
     tryEnqueue(Message &&msg)
     {
@@ -85,17 +115,6 @@ class IfaceBuffer
         return true;
     }
 
-    /**
-     * Register a one-shot callback invoked the next time a queue slot
-     * frees up. Callbacks fire in registration order.
-     */
-    void
-    onSpace(std::function<void()> cb)
-    {
-        spaceWaiters.push_back(std::move(cb));
-    }
-
-  private:
     /**
      * Arrange for the head message to start draining once the link frees.
      * The head keeps its buffer slot until its drain actually starts, so a
@@ -130,27 +149,16 @@ class IfaceBuffer
             },
             EventQueue::prioDeliver);
         pumping = false;
-        notifySpace();
+        refill();
         pump();
-    }
-
-    void
-    notifySpace()
-    {
-        if (spaceWaiters.empty() || full())
-            return;
-        std::vector<std::function<void()>> cbs;
-        cbs.swap(spaceWaiters);
-        for (auto &cb : cbs)
-            cb();
     }
 
     EventQueue &queue;
     OmegaNetwork<Payload> &network;
     unsigned cap;
     bool bypassEnabled;
-    std::deque<Message> waiting;
-    std::vector<std::function<void()>> spaceWaiters;
+    std::deque<Message> waiting;   ///< the buffer slots, head first
+    std::deque<Message> overflow;  ///< messages the buffer had no slot for
     Tick linkFree = 0;
     bool pumping = false;
     BufferStats bufStats;

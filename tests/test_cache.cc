@@ -16,7 +16,6 @@
 #include "fault/fault.hh"
 #include "mem/cache.hh"
 #include "mem/memory_module.hh"
-#include "mem/outbox.hh"
 #include "net/iface_buffer.hh"
 #include "net/omega_network.hh"
 #include "sim/event_queue.hh"
@@ -37,10 +36,8 @@ struct MemHarness
     EventQueue queue;
     net::OmegaNetwork<mem::CoherenceMsg> reqNet;
     net::OmegaNetwork<mem::CoherenceMsg> respNet;
-    std::vector<std::unique_ptr<net::IfaceBuffer<mem::CoherenceMsg>>> reqBufs;
-    std::vector<std::unique_ptr<net::IfaceBuffer<mem::CoherenceMsg>>> respBufs;
-    std::vector<std::unique_ptr<mem::Outbox>> procOut;
-    std::vector<std::unique_ptr<mem::Outbox>> memOut;
+    std::vector<std::unique_ptr<mem::Port>> reqPorts;
+    std::vector<std::unique_ptr<mem::Port>> respPorts;
     std::vector<std::unique_ptr<mem::MemoryModule>> modules;
     std::vector<std::unique_ptr<Cache>> caches;
     std::vector<std::vector<std::pair<std::uint64_t, Tick>>> completions;
@@ -70,23 +67,17 @@ struct MemHarness
         mp.lineBytes = cache_params.lineBytes;
         mp.numProcs = numPorts;
         for (unsigned i = 0; i < numPorts; ++i) {
-            respBufs.push_back(
-                std::make_unique<net::IfaceBuffer<mem::CoherenceMsg>>(
-                    queue, respNet, 4, false));
-            memOut.push_back(
-                std::make_unique<mem::Outbox>(*respBufs.back(), false));
+            respPorts.push_back(
+                std::make_unique<mem::Port>(queue, respNet, 4, false));
             modules.push_back(std::make_unique<mem::MemoryModule>(
-                queue, i, mp, *memOut.back()));
+                queue, i, mp, *respPorts.back()));
         }
         completions.resize(2);
         for (unsigned p = 0; p < 2; ++p) {
-            reqBufs.push_back(
-                std::make_unique<net::IfaceBuffer<mem::CoherenceMsg>>(
-                    queue, reqNet, 4, cache_params.bypassLoads));
-            procOut.push_back(std::make_unique<mem::Outbox>(
-                *reqBufs.back(), cache_params.bypassLoads));
+            reqPorts.push_back(
+                std::make_unique<mem::Port>(queue, reqNet, 4, false));
             caches.push_back(std::make_unique<Cache>(
-                queue, p, cache_params, *procOut.back(), numPorts));
+                queue, p, cache_params, *reqPorts.back(), numPorts));
             caches.back()->setCompletionHandler(
                 [this, p](std::uint64_t cookie) {
                     completions[p].emplace_back(cookie, queue.now());

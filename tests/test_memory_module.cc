@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "mem/memory_module.hh"
-#include "mem/outbox.hh"
 #include "net/iface_buffer.hh"
 #include "net/omega_network.hh"
 #include "sim/event_queue.hh"
@@ -31,8 +30,7 @@ struct DirHarness
 {
     EventQueue queue;
     net::OmegaNetwork<CoherenceMsg> respNet;
-    net::IfaceBuffer<CoherenceMsg> respBuf;
-    mem::Outbox outbox;
+    mem::Port respPort;
     MemoryModule module;
 
     struct Sent
@@ -52,9 +50,8 @@ struct DirHarness
                                       m.payload.proc, queue.now(),
                                       m.payload.seq});
                   }),
-          respBuf(queue, respNet, 4, false), outbox(respBuf, false),
-          module(queue, 0,
-                 mem::MemoryParams{line_bytes, 7, 16}, outbox)
+          respPort(queue, respNet, 4, false),
+          module(queue, 0, mem::MemoryParams{line_bytes, 7, 16}, respPort)
     {}
 
     /** Deliver a request at @p when, stamped with the @p seq a real

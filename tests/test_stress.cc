@@ -217,7 +217,7 @@ TEST(Stress, SingleLineTotalContention)
 TEST(Stress, BuffersAtDepthOne)
 {
     // Minimum-depth interface buffers force constant backpressure
-    // through the Outbox overflow path.
+    // through the ports' overflow queues.
     core::MachineConfig cfg;
     cfg.numProcs = 8;
     cfg.numModules = 8;

@@ -178,6 +178,13 @@ parseArgs(int argc, char **argv)
                          argv[i] + "'");
             return value;
         };
+        // Overrides: 0 would read as "not set" and run the grid as is.
+        auto nextPositive = [&]() -> unsigned {
+            const unsigned value = nextUnsigned();
+            if (value == 0)
+                argError(arg + " expects a positive integer, got '0'");
+            return value;
+        };
         if (arg == "--grid") {
             splitGrids(next(), opt.grids);
         } else if (arg == "--scale") {
@@ -198,11 +205,11 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--golden-out") {
             opt.goldenOut = next();
         } else if (arg == "--procs") {
-            opt.procs = nextUnsigned();
+            opt.procs = nextPositive();
         } else if (arg == "--cache-bytes") {
-            opt.cacheBytes = nextUnsigned();
+            opt.cacheBytes = nextPositive();
         } else if (arg == "--line-bytes") {
-            opt.lineBytes = nextUnsigned();
+            opt.lineBytes = nextPositive();
         } else if (arg == "--faults") {
             opt.faults = next();
         } else if (arg == "--chaos") {

@@ -130,6 +130,14 @@ parseArgs(int argc, char **argv)
                                   "got '" + argv[i] + "'");
             return value;
         };
+        // Geometry: 0 would read as "not set" and use the default.
+        auto nextPositive = [&]() -> unsigned {
+            const unsigned value = nextUnsigned();
+            if (value == 0)
+                configError(argv[0],
+                            arg + " expects a positive integer, got '0'");
+            return value;
+        };
         auto nextU64 = [&]() -> std::uint64_t {
             std::uint64_t value = 0;
             if (!tools::parseU64(next(), value))
@@ -157,13 +165,13 @@ parseArgs(int argc, char **argv)
                 configError(argv[0], err.what());
             }
         } else if (arg == "--procs") {
-            opt.procs = nextUnsigned();
+            opt.procs = nextPositive();
         } else if (arg == "--cache-bytes") {
-            opt.cacheBytes = nextUnsigned();
+            opt.cacheBytes = nextPositive();
         } else if (arg == "--line-bytes") {
-            opt.lineBytes = nextUnsigned();
+            opt.lineBytes = nextPositive();
         } else if (arg == "--delay") {
-            opt.delay = nextUnsigned();
+            opt.delay = nextPositive();
         } else if (arg == "--seed") {
             opt.seed = nextU64();
         } else if (arg == "--check") {
