@@ -140,7 +140,7 @@ main(int argc, char **argv)
                 (unsigned long long)m.prefetchesIssued,
                 (unsigned long long)m.prefetchesUseful,
                 (unsigned long long)m.releasesDeferred);
-    const auto &s = result.stats;
+    const StatSet s = result.machine->collectStats();
     std::printf("  stalls/proc: issue=%.0f drain=%.0f use=%.0f sync=%.0f "
                 "blocked=%.0f (cycles=%llu)\n",
                 s.get("proc.total.issue_stall_cycles") / cfg.numProcs,
@@ -152,7 +152,7 @@ main(int argc, char **argv)
 
     if (dump_stats) {
         std::string text;
-        for (const auto &[k, v] : result.stats)
+        for (const auto &[k, v] : s)
             std::printf("%s = %.1f\n", k.c_str(), v);
     }
     return 0;

@@ -1,36 +1,17 @@
 #include "exp/chaos.hh"
 
-#include <atomic>
 #include <cstdio>
-#include <mutex>
-#include <thread>
 
-#include "axiom/axiom_checker.hh"
-#include "core/machine.hh"
+#include "exp/sweep.hh"
 #include "fault/fault_config.hh"
 #include "sim/logging.hh"
+#include "workloads/workload.hh"
 
 namespace mcsim::exp
 {
 
 namespace
 {
-
-/** Final-memory fingerprint of a completed, verified run of @p point. */
-std::uint64_t
-runToFingerprint(const SweepPoint &point, Tick &cycles_out)
-{
-    core::MachineConfig cfg = point.machineConfig();
-    auto workload = point.makeWorkload();
-    if (!workload->dataRaceFree())
-        cfg.check.races = false;
-
-    core::Machine machine(cfg);
-    workload->setup(machine);
-    cycles_out = machine.run();
-    workload->verify(machine);
-    return workload->resultFingerprint(machine);
-}
 
 /** One pair outcome: an element of ChaosReport::toJson()'s "points". */
 Json
@@ -67,47 +48,40 @@ runChaosPoint(const SweepPoint &point, const std::string &preset)
     result.id = faulted.id();
     try {
         // Fault-free baseline: the ground truth the faulted twin must
-        // reproduce byte for byte.
-        SweepPoint baseline = point;
-        baseline.faultPreset.clear();
-        const std::uint64_t want =
-            runToFingerprint(baseline, result.baselineCycles);
-
-        core::MachineConfig cfg = faulted.machineConfig();
-        auto workload = faulted.makeWorkload();
-        if (!workload->dataRaceFree())
-            cfg.check.races = false;
-
-        core::Machine machine(cfg);
-        workload->setup(machine);
-        result.faultedCycles = machine.run();
-        workload->verify(machine);
-
-        if (const fault::FaultPlan *plan = machine.faultPlan())
-            result.faultsInjected = plan->stats().total();
-        for (unsigned p = 0; p < machine.numProcs(); ++p) {
-            const auto &cs = machine.cache(p).stats();
-            result.retries += cs.retries;
-            result.nacks += cs.nacksReceived;
-            result.staleMessages += cs.staleReplies;
-        }
-        for (unsigned i = 0; i < cfg.numModules; ++i)
-            result.staleMessages +=
-                machine.module(i).stats().staleMessages;
-
-        if (axiom::TraceRecorder *rec = machine.traceRecorder()) {
-            const axiom::Trace &trace = rec->finish();
-            const axiom::AxiomResult verdict =
-                axiom::checkTrace(trace, cfg.modelParams());
-            if (!verdict.ok) {
+        // reproduce byte for byte. Its machine is gone before the
+        // faulted twin is built.
+        std::uint64_t want = 0;
+        {
+            SweepPoint baseline = point;
+            baseline.faultPreset.clear();
+            const auto workload = baseline.makeWorkload();
+            const workloads::RunResult run =
+                workloads::runWorkload(*workload, baseline.machineConfig());
+            result.baselineCycles = run.metrics.cycles;
+            if (run.axiom && !run.axiom->ok) {
                 result.error =
-                    "axiomatic trace rejected under faults: " +
-                    verdict.message;
+                    "axiomatic trace rejected: " + run.axiom->message;
                 return result;
             }
+            want = workload->resultFingerprint(*run.machine);
         }
 
-        const std::uint64_t got = workload->resultFingerprint(machine);
+        const auto workload = faulted.makeWorkload();
+        const workloads::RunResult run =
+            workloads::runWorkload(*workload, faulted.machineConfig());
+        const core::RunMetrics &m = run.metrics;
+        result.faultedCycles = m.cycles;
+        result.faultsInjected = m.faultsInjected;
+        result.retries = m.protocolRetries;
+        result.nacks = m.protocolNacks;
+        result.staleMessages = m.staleProtocolMsgs;
+        if (!run.axiom->ok) {
+            result.error = "axiomatic trace rejected under faults: " +
+                           run.axiom->message;
+            return result;
+        }
+
+        const std::uint64_t got = workload->resultFingerprint(*run.machine);
         if (got != want) {
             result.error = strprintf(
                 "final memory diverged: baseline fingerprint %016llx, "
@@ -136,48 +110,23 @@ runChaos(const Grid &grid, const ChaosOptions &options)
     report.preset = options.preset;
     const std::size_t total = grid.points.size();
     report.points.resize(total);
-    if (total == 0)
-        return report;
-
-    unsigned threads = options.threads;
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    std::mutex reportMutex;
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= total)
-                return;
+    runPool(
+        total, options.threads,
+        [&](std::size_t i) {
             report.points[i] =
                 runChaosPoint(grid.points[i], options.preset);
-            const std::size_t done = completed.fetch_add(1) + 1;
+        },
+        [&](std::size_t i, std::size_t done) {
             if (!options.progress)
-                continue;
+                return;
             const ChaosPointResult &r = report.points[i];
-            std::lock_guard<std::mutex> lock(reportMutex);
             std::fprintf(
                 stderr,
                 "[%zu/%zu] %-52s %-6s %llu faults, %llu retries\n", done,
                 total, r.id.c_str(), r.ok ? "ok" : "FAILED",
                 static_cast<unsigned long long>(r.faultsInjected),
                 static_cast<unsigned long long>(r.retries));
-        }
-    };
-
-    const unsigned n =
-        static_cast<unsigned>(std::min<std::size_t>(threads, total));
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
+        });
     return report;
 }
 

@@ -1,26 +1,64 @@
 #include "exp/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <cstdio>
+#include <exception>
 #include <mutex>
 #include <thread>
 
-#include "axiom/axiom_checker.hh"
-#include "core/machine.hh"
 #include "sim/logging.hh"
+#include "workloads/workload.hh"
 
 namespace mcsim::exp
 {
 
-SweepRunner::SweepRunner(SweepOptions options) : opts(options)
+void
+runPool(std::size_t total, unsigned threads,
+        const std::function<void(std::size_t)> &job,
+        const std::function<void(std::size_t, std::size_t)> &finished)
 {
-    if (opts.threads == 0) {
-        opts.threads = std::thread::hardware_concurrency();
-        if (opts.threads == 0)
-            opts.threads = 1;
-    }
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> stop{false};
+    std::mutex finishedMutex;
+    std::size_t completed = 0;  // guarded by finishedMutex
+    // finished() may throw (a journal append hitting a full or failing
+    // disk): capture the first exception, stop the pool, and rethrow
+    // from the calling thread -- an exception crossing a thread
+    // boundary uncaught would terminate the whole process.
+    std::exception_ptr finishedError;
+
+    auto worker = [&]() {
+        while (!stop.load(std::memory_order_relaxed)) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= total)
+                return;
+            job(i);
+            std::lock_guard<std::mutex> lock(finishedMutex);
+            try {
+                finished(i, ++completed);
+            } catch (...) {
+                if (!finishedError)
+                    finishedError = std::current_exception();
+                stop.store(true, std::memory_order_relaxed);
+                return;
+            }
+        }
+    };
+
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(threads, total));
+    std::vector<std::thread> pool;
+    pool.reserve(n);
+    for (unsigned t = 0; t < n; ++t)
+        pool.emplace_back(worker);
+    for (auto &t : pool)
+        t.join();
+    if (finishedError)
+        std::rethrow_exception(finishedError);
 }
 
 JobResult
@@ -29,32 +67,20 @@ SweepRunner::runPoint(const SweepPoint &point)
     JobResult result;
     result.point = point;
     try {
-        core::MachineConfig cfg = point.machineConfig();
-        auto workload = point.makeWorkload();
-        if (!workload->dataRaceFree())
-            cfg.check.races = false;
-
-        core::Machine machine(cfg);
-        workload->setup(machine);
-        const Tick last = machine.run();
-        workload->verify(machine);
-        result.metrics = core::RunMetrics::fromMachine(machine, last);
-
-        if (axiom::TraceRecorder *rec = machine.traceRecorder()) {
-            const axiom::Trace &trace = rec->finish();
-            const axiom::AxiomResult verdict =
-                axiom::checkTrace(trace, cfg.modelParams());
+        const auto workload = point.makeWorkload();
+        const workloads::RunResult run =
+            workloads::runWorkload(*workload, point.machineConfig());
+        result.metrics = run.metrics;
+        if (run.axiom) {
             result.traceChecked = true;
-            result.traceAccepted = verdict.ok;
-            result.traceEvents = trace.events.size();
-            result.traceEdges = verdict.edgeCount;
-            if (!verdict.ok) {
-                result.error = "axiomatic trace rejected: " +
-                               verdict.message;
-                return result;
-            }
+            result.traceAccepted = run.axiom->ok;
+            result.traceEvents = run.machine->traceRecorder()->size();
+            result.traceEdges = run.axiom->edgeCount;
+            if (!run.axiom->ok)
+                result.error =
+                    "axiomatic trace rejected: " + run.axiom->message;
         }
-        result.ok = true;
+        result.ok = result.error.empty();
     } catch (const std::exception &err) {
         result.error = err.what();
     }
@@ -78,8 +104,6 @@ SweepRunner::runIndices(const Grid &grid,
     const std::size_t gridTotal = grid.points.size();
     const std::size_t total = indices.size();
     std::vector<JobResult> results(total);
-    if (total == 0)
-        return results;
     for (std::size_t index : indices) {
         if (index >= gridTotal) {
             fatal("sweep: index %zu out of range for grid '%s' (%zu "
@@ -92,81 +116,43 @@ SweepRunner::runIndices(const Grid &grid,
     // grid (test_determinism pins this).
     // mcsim-lint: no-entropy(stderr progress/ETA display only)
     const auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    std::atomic<bool> stop{false};
-    std::mutex reportMutex;
-    // The sink may throw (a journal append hitting a full or failing
-    // disk): capture the first exception, stop the pool, and rethrow
-    // from the calling thread -- an exception crossing a thread
-    // boundary uncaught would terminate the whole process.
-    std::exception_ptr sinkError;
 
-    auto worker = [&]() {
-        for (;;) {
-            if (stop.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= total)
-                return;
-            const std::size_t index = indices[i];
-            results[i] = runPoint(grid.points[index]);
-            if (!results[i].ok) {
-                // Locate the failure for whoever reads the results
-                // document: a timeout/watchdog message alone does not say
-                // which job died (the machine knows nothing of the grid).
-                // The annotation uses the grid index and total, so a
-                // resumed run reports identically to a whole-grid run.
-                results[i].error = strprintf(
-                    "grid '%s' point %zu of %zu (%s, seed %llu): %s",
-                    grid.name.c_str(), index, gridTotal,
-                    grid.points[index].id().c_str(),
-                    static_cast<unsigned long long>(
-                        grid.points[index].seed),
-                    results[i].error.c_str());
-            }
-            const std::size_t done = completed.fetch_add(1) + 1;
-            if (on_complete) {
-                // Serialized: journal-style sinks append without locking.
-                std::lock_guard<std::mutex> lock(reportMutex);
-                try {
-                    on_complete(index, results[i]);
-                } catch (...) {
-                    if (!sinkError)
-                        sinkError = std::current_exception();
-                    stop.store(true, std::memory_order_relaxed);
-                    return;
-                }
-            }
-            if (!opts.progress)
-                continue;
-            const double elapsed =
-                std::chrono::duration<double>(
-                    // mcsim-lint: no-entropy(stderr progress display only)
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            const double eta =
-                elapsed / static_cast<double>(done) *
-                static_cast<double>(total - done);
-            std::lock_guard<std::mutex> lock(reportMutex);
-            std::fprintf(stderr,
-                         "[%zu/%zu] %-44s %-6s %6.1fs elapsed, ETA "
-                         "%.1fs\n",
-                         done, total, grid.points[index].id().c_str(),
-                         results[i].ok ? "ok" : "FAILED", elapsed, eta);
+    auto job = [&](std::size_t i) {
+        const std::size_t index = indices[i];
+        results[i] = runPoint(grid.points[index]);
+        if (!results[i].ok) {
+            // Locate the failure for whoever reads the results document:
+            // a timeout/watchdog message alone does not say which job
+            // died (the machine knows nothing of the grid). The
+            // annotation uses the grid index and total, so a resumed run
+            // reports identically to a whole-grid run.
+            results[i].error = strprintf(
+                "grid '%s' point %zu of %zu (%s, seed %llu): %s",
+                grid.name.c_str(), index, gridTotal,
+                grid.points[index].id().c_str(),
+                static_cast<unsigned long long>(grid.points[index].seed),
+                results[i].error.c_str());
         }
     };
-
-    const unsigned n =
-        static_cast<unsigned>(std::min<std::size_t>(opts.threads, total));
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned t = 0; t < n; ++t)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    if (sinkError)
-        std::rethrow_exception(sinkError);
+    auto finished = [&](std::size_t i, std::size_t done) {
+        const std::size_t index = indices[i];
+        if (on_complete)
+            on_complete(index, results[i]);
+        if (!opts.progress)
+            return;
+        const double elapsed =
+            std::chrono::duration<double>(
+                // mcsim-lint: no-entropy(stderr progress display only)
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        const double eta = elapsed / static_cast<double>(done) *
+                           static_cast<double>(total - done);
+        std::fprintf(stderr,
+                     "[%zu/%zu] %-44s %-6s %6.1fs elapsed, ETA %.1fs\n",
+                     done, total, grid.points[index].id().c_str(),
+                     results[i].ok ? "ok" : "FAILED", elapsed, eta);
+    };
+    runPool(total, opts.threads, job, finished);
     return results;
 }
 

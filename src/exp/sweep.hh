@@ -73,11 +73,23 @@ struct SweepOptions
  */
 using JobSink = std::function<void(std::size_t, const JobResult &)>;
 
+/**
+ * The one worker pool every sweep runs on (SweepRunner, runChaos): runs
+ * @p job(i) for each i in [0, @p total) on min(@p threads, @p total)
+ * std::threads (0 threads = hardware concurrency). After each job,
+ * @p finished(i, done) runs serialized under one lock, in
+ * scheduling-dependent order. If it throws, jobs in flight complete, no
+ * new ones start, and runPool rethrows the first exception.
+ */
+void runPool(std::size_t total, unsigned threads,
+             const std::function<void(std::size_t)> &job,
+             const std::function<void(std::size_t, std::size_t)> &finished);
+
 /** Thread-pool sweep runner. */
 class SweepRunner
 {
   public:
-    explicit SweepRunner(SweepOptions options = {});
+    explicit SweepRunner(SweepOptions options = {}) : opts(options) {}
 
     /** Run every point of @p grid; results in grid order. */
     std::vector<JobResult> run(const Grid &grid) const;
@@ -93,7 +105,8 @@ class SweepRunner
     runIndices(const Grid &grid, const std::vector<std::size_t> &indices,
                const JobSink &on_complete = {}) const;
 
-    /** Run one point in isolation (what each worker executes). */
+    /** Run one point in isolation through workloads::runWorkload (what
+     *  each worker executes); the machine is gone when it returns. */
     static JobResult runPoint(const SweepPoint &point);
 
   private:

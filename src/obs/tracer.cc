@@ -41,14 +41,18 @@ spanKindName(SpanKind kind)
 }
 
 Tracer::Tracer(std::size_t capacity_events)
-    : buf(std::max<std::size_t>(capacity_events, 1))
+    : cap(std::max<std::size_t>(capacity_events, 1))
 {}
 
 void
 Tracer::push(const TraceEvent &event)
 {
-    if (count < buf.size()) {
-        buf[(head + count) % buf.size()] = event;
+    if (count < cap) {
+        // Nothing is overwritten before the ring fills, so head is 0.
+        if (buf.size() == buf.capacity())
+            buf.reserve(std::min(cap, std::max<std::size_t>(
+                                          2 * buf.size(), 1024)));
+        buf.push_back(event);
         count += 1;
     } else {
         buf[head] = event;

@@ -108,7 +108,7 @@ class Tracer
     }
 
     std::size_t size() const { return count; }
-    std::size_t capacity() const { return buf.size(); }
+    std::size_t capacity() const { return cap; }
     /** Events overwritten because the ring was full. */
     std::uint64_t dropped() const { return drops; }
 
@@ -118,7 +118,10 @@ class Tracer
   private:
     void push(const TraceEvent &event);
 
+    /** Grows on demand up to cap, so a huge capacity costs only what a
+     *  run records. */
     std::vector<TraceEvent> buf;
+    std::size_t cap;
     std::size_t head = 0;  ///< index of the oldest event
     std::size_t count = 0;
     std::uint64_t drops = 0;

@@ -4,28 +4,23 @@ namespace mcsim::workloads
 {
 
 RunResult
-runWorkload(Workload &workload, const core::MachineConfig &config)
-{
-    return runWorkload(workload, config, {});
-}
-
-RunResult
 runWorkload(Workload &workload, const core::MachineConfig &config,
             const std::function<void(core::Machine &)> &afterSetup)
 {
     core::MachineConfig cfg = config;
     if (!workload.dataRaceFree())
         cfg.check.races = false;
-    core::Machine machine(cfg);
+    RunResult result;
+    result.machine = std::make_unique<core::Machine>(cfg);
+    core::Machine &machine = *result.machine;
     workload.setup(machine);
     if (afterSetup)
         afterSetup(machine);
     const Tick last = machine.run();
     workload.verify(machine);
-
-    RunResult result;
     result.metrics = core::RunMetrics::fromMachine(machine, last);
-    result.stats = machine.collectStats();
+    if (axiom::TraceRecorder *rec = machine.traceRecorder())
+        result.axiom = axiom::checkTrace(rec->finish(), cfg.modelParams());
     return result;
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Workload interface and the single-run experiment driver.
+ * Workload interface and the one run path every tool, sweep and test
+ * drives a workload through.
  *
  * A Workload owns the shared-data layout and per-processor program of one
  * benchmark. Workload code is written once and runs unchanged on every
@@ -14,8 +15,10 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "axiom/axiom_checker.hh"
 #include "core/machine.hh"
 #include "core/machine_config.hh"
 #include "core/metrics.hh"
@@ -48,10 +51,11 @@ class Workload
 
     /**
      * True when the program is data-race-free under the sync operations it
-     * uses. runWorkload() disables the happens-before race detector for
-     * workloads that return false (e.g. the synthetic reference generator,
-     * which writes shared addresses without locking by design); the
-     * coherence and ordering checks stay on.
+     * uses. runWorkload() -- the one place this is consulted -- disables
+     * the happens-before race detector for workloads that return false
+     * (e.g. the synthetic reference generator, which writes shared
+     * addresses without locking by design); the coherence and ordering
+     * checks stay on.
      */
     virtual bool dataRaceFree() const { return true; }
 
@@ -73,27 +77,32 @@ class Workload
     }
 };
 
-/** Result of one run: derived metrics plus the raw statistic set. */
+/** Result of one run. */
 struct RunResult
 {
     core::RunMetrics metrics;
-    StatSet stats;
+    /**
+     * The axiomatic checker's verdict on the recorded trace; empty unless
+     * the config records one (MachineConfig::trace.record). A rejection
+     * is returned here, never thrown: each caller decides what it means.
+     */
+    std::optional<axiom::AxiomResult> axiom;
+    /** The machine after the run, for callers that inspect it (stats,
+     *  tracer, result fingerprint). The workload must outlive it. */
+    std::unique_ptr<core::Machine> machine;
 };
 
 /**
- * Build a machine from @p config, run @p workload on it to completion,
- * verify the answer, and collect metrics.
+ * The one run path: build a machine from @p config (race detector off
+ * when the workload is not data-race-free), set @p workload up on it,
+ * invoke @p afterSetup (the attach point for observers and fault hooks
+ * that need the built machine), run to completion, verify the answer,
+ * collect metrics and, when a trace was recorded, check it. Throws
+ * FatalError on deadlock, timeout or a failed verify.
  */
-RunResult runWorkload(Workload &workload, const core::MachineConfig &config);
-
-/**
- * As above, but invoke @p afterSetup on the machine between
- * Workload::setup and the run -- the attach point for observers that
- * need the built machine (trace capture hooks processor issue sinks
- * here). Pass an empty function for a plain run.
- */
-RunResult runWorkload(Workload &workload, const core::MachineConfig &config,
-                      const std::function<void(core::Machine &)> &afterSetup);
+RunResult runWorkload(
+    Workload &workload, const core::MachineConfig &config,
+    const std::function<void(core::Machine &)> &afterSetup = {});
 
 } // namespace mcsim::workloads
 

@@ -14,6 +14,7 @@
 #include "axiom/trace.hh"
 #include "core/consistency.hh"
 #include "core/machine.hh"
+#include "sim/logging.hh"
 #include "sim/task.hh"
 #include "workloads/gauss.hh"
 #include "workloads/psim.hh"
@@ -309,16 +310,12 @@ TEST(AxiomChecker, AcceptanceSweepAllModelsAllWorkloads)
 
         workloads::Workload *all[] = {&gauss, &qsort, &relax, &psim};
         for (workloads::Workload *w : all) {
-            core::Machine m(cfg);
-            w->setup(m);
-            m.run();
-            w->verify(m);
-            const Trace &trace = m.traceRecorder()->finish();
-            ASSERT_GT(trace.events.size(), 0u);
-            const AxiomResult res = checkTrace(trace, cfg.modelParams());
-            EXPECT_TRUE(res.ok)
+            const workloads::RunResult run = workloads::runWorkload(*w, cfg);
+            ASSERT_GT(run.machine->traceRecorder()->size(), 0u);
+            ASSERT_TRUE(run.axiom.has_value());
+            EXPECT_TRUE(run.axiom->ok)
                 << core::modelName(model) << " / " << w->name() << "\n"
-                << res.message;
+                << run.axiom->message;
         }
     }
 }
@@ -334,10 +331,85 @@ namespace
  * invalidate for its pre-warmed Shared data line, so its post-flag data
  * read hits the stale copy and performs long before the data write does
  * -- a forbidden message-passing outcome at the hardware level, which
- * closes a happens-before cycle for the checker.
+ * closes a happens-before cycle for the checker. The broken machine
+ * makes the handoff racy, so the program is not data-race-free and the
+ * run path turns the race detector off.
  */
-AxiomResult
-runWeakenedMp(Model model)
+class WeakenedMpWorkload : public workloads::Workload
+{
+  public:
+    // data's line sits in module 0; hammer lines map there as well
+    // (module = (addr / lineBytes) % numModules). flag lands in module
+    // 2, which stays fast.
+    static constexpr Addr data = 0x1000;
+    static constexpr Addr flag = 0x1020;
+
+    std::string name() const override { return "WeakenedMp"; }
+    bool dataRaceFree() const override { return false; }
+
+    void
+    setup(core::Machine &m) override
+    {
+        m.memory().writeU64(data, 0);
+        m.memory().writeU64(flag, 0);
+
+        // Writer: data store jams behind the hammer, flag release does
+        // not wait for it (the injected fault).
+        m.startWorkload(0, [](cpu::Processor &p) -> SimTask {
+            co_await p.exec(600);
+            co_await p.store(data, 1);
+            co_await p.syncStore(flag, 1);
+        }(m.proc(0)));
+
+        // Reader: pre-warm the data line (Shared), then spin on the flag
+        // and read the data through the stale local copy.
+        m.startWorkload(1, [](cpu::Processor &p,
+                              std::uint64_t &out) -> SimTask {
+            co_await p.loadUse(data);  // Shared copy of the line
+            for (;;) {
+                const std::uint64_t f = co_await p.syncLoad(flag);
+                if (f == 1)
+                    break;
+                co_await p.branch();
+            }
+            out = co_await p.loadUse(data);
+        }(m.proc(1), seen));
+
+        // Hammer: keep module 0 busy with non-blocking misses to distinct
+        // lines (up to the MSHR limit in flight) so the writer's
+        // GetExclusive (and its invalidate) sits in the module queue. The
+        // closing fence drains the last loads before the workload exits.
+        m.startWorkload(2, [](cpu::Processor &p) -> SimTask {
+            co_await p.exec(100);
+            for (unsigned i = 0; i < 40; ++i) {
+                const Addr stride = 16 * 4;  // every line in module 0
+                co_await p.load(0x8000 + i * stride);
+            }
+            co_await p.fence();
+        }(m.proc(2)));
+    }
+
+    /** Functional value flow is unaffected by the broken ordering. */
+    void
+    verify(core::Machine &) const override
+    {
+        if (seen != 1)
+            fatal("weakened handoff read %llu, want 1",
+                  static_cast<unsigned long long>(seen));
+    }
+
+  private:
+    std::uint64_t seen = 0;
+};
+
+/**
+ * Run the scenario under @p model with both faults injected, through the
+ * one run path: the rejection must come back as a verdict -- never a
+ * throw -- with the run's metrics filled in, so each caller (sweep,
+ * chaos, trace replay) decides what a rejection means.
+ */
+void
+expectRejectedWithCycle(Model model)
 {
     core::MachineConfig cfg;
     cfg.numProcs = 4;
@@ -349,89 +421,36 @@ runWeakenedMp(Model model)
     cfg.trace.record = true;
     // The ordering linter and coherence auditor would (correctly) trip
     // on the injected faults; here the axiomatic layer does the
-    // detecting. The data handoff is no longer actually synchronized, so
-    // the race detector would trip too -- the broken machine makes the
-    // program racy.
+    // detecting.
     cfg.check.ordering = false;
     cfg.check.coherence = false;
-    cfg.check.races = false;
-    core::Machine m(cfg);
-
-    m.proc(0).injectDisableSyncOrderingForTest();
-    m.cache(1).injectIgnoreNextInvalidateForTest();
-
-    // dataAddr's line sits in module 0; hammer lines map there as well
-    // (module = (addr / lineBytes) % numModules). flagAddr lands in
-    // module 2, which stays fast.
-    constexpr Addr data = 0x1000;
-    constexpr Addr flag = 0x1020;
-    m.memory().writeU64(data, 0);
-    m.memory().writeU64(flag, 0);
-
-    // Writer: data store jams behind the hammer, flag release does not
-    // wait for it (the injected fault).
-    m.startWorkload(0, [](cpu::Processor &p) -> SimTask {
-        co_await p.exec(600);
-        co_await p.store(data, 1);
-        co_await p.syncStore(flag, 1);
-    }(m.proc(0)));
-
-    // Reader: pre-warm the data line (Shared), then spin on the flag and
-    // read the data through the stale local copy.
-    std::uint64_t seen = 0;
-    m.startWorkload(1, [](cpu::Processor &p, std::uint64_t &out) -> SimTask {
-        co_await p.loadUse(data);  // Shared copy of the line
-        for (;;) {
-            const std::uint64_t f = co_await p.syncLoad(flag);
-            if (f == 1)
-                break;
-            co_await p.branch();
-        }
-        out = co_await p.loadUse(data);
-    }(m.proc(1), seen));
-
-    // Hammer: keep module 0 busy with non-blocking misses to distinct
-    // lines (up to the MSHR limit in flight) so the writer's
-    // GetExclusive (and its invalidate) sits in the module queue. The
-    // closing fence drains the last loads before the workload exits.
-    m.startWorkload(2, [](cpu::Processor &p) -> SimTask {
-        co_await p.exec(100);
-        for (unsigned i = 0; i < 40; ++i) {
-            const Addr stride = 16 * 4;  // every line in module 0
-            co_await p.load(0x8000 + i * stride);
-        }
-        co_await p.fence();
-    }(m.proc(2)));
-
-    m.run();
-    EXPECT_EQ(seen, 1u);  // functional value flow is unaffected
-    const Trace &trace = m.traceRecorder()->finish();
-    if (std::getenv("AXIOM_DUMP") != nullptr) {
-        for (const Event &e : trace.events)
-            if (e.proc < 2)
-                std::fprintf(stderr, "%s\n", e.describe().c_str());
-    }
-    return checkTrace(trace, cfg.modelParams());
+    WeakenedMpWorkload workload;
+    workloads::RunResult run;
+    ASSERT_NO_THROW(run = workloads::runWorkload(
+                        workload, cfg, [](core::Machine &m) {
+                            m.proc(0).injectDisableSyncOrderingForTest();
+                            m.cache(1).injectIgnoreNextInvalidateForTest();
+                        }));
+    EXPECT_GT(run.metrics.cycles, 600u);
+    EXPECT_GT(run.metrics.totalReads, 40u);
+    EXPECT_GT(run.metrics.totalSyncOps, 1u);
+    ASSERT_TRUE(run.axiom.has_value());
+    const AxiomResult &res = *run.axiom;
+    EXPECT_FALSE(res.ok);
+    EXPECT_FALSE(res.temporal.empty()) << res.message;
+    EXPECT_FALSE(res.cycle.empty()) << res.message;
+    EXPECT_NE(res.message.find("happens-before cycle"), std::string::npos)
+        << res.message;
 }
 
 } // namespace
 
 TEST(WeakenedMachine, DisabledSyncOrderingRejectedUnderWo)
 {
-    const AxiomResult res = runWeakenedMp(Model::WO1);
-    EXPECT_FALSE(res.ok);
-    EXPECT_FALSE(res.temporal.empty()) << res.message;
-    EXPECT_FALSE(res.cycle.empty()) << res.message;
-    EXPECT_NE(res.message.find("happens-before cycle"), std::string::npos)
-        << res.message;
+    expectRejectedWithCycle(Model::WO1);
 }
 
 TEST(WeakenedMachine, DisabledSyncOrderingRejectedUnderRc)
 {
-    const AxiomResult res = runWeakenedMp(Model::RC);
-    EXPECT_FALSE(res.ok);
-    EXPECT_FALSE(res.temporal.empty()) << res.message;
-    EXPECT_FALSE(res.cycle.empty()) << res.message;
-    EXPECT_NE(res.message.find("happens-before cycle"), std::string::npos)
-        << res.message;
+    expectRejectedWithCycle(Model::RC);
 }

@@ -56,10 +56,9 @@ std::pair<Tick, std::uint64_t>
 runAndCheck(workloads::Workload &w, const core::MachineConfig &cfg,
             Addr hash_limit)
 {
-    core::Machine machine(cfg);
-    w.setup(machine);
-    const Tick end = machine.run();
-    w.verify(machine);
+    const workloads::RunResult run = workloads::runWorkload(w, cfg);
+    core::Machine &machine = *run.machine;
+    const Tick end = run.metrics.cycles;
 
     // Quiesce: let in-flight writebacks and residual events land.
     machine.eventQueue().run();

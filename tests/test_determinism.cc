@@ -3,7 +3,8 @@
  * Determinism contract of the sweep engine (DESIGN.md section 9): the
  * same grid serializes to a byte-identical results document no matter
  * how many worker threads ran it, and re-running a point reproduces its
- * metrics bit-for-bit. These properties are what make exact-match golden
+ * metrics bit-for-bit; chaos reports are thread-count independent too.
+ * These properties are what make exact-match golden
  * baselines (test_golden.cc) possible at all.
  */
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/chaos.hh"
 #include "exp/grid.hh"
 #include "exp/json.hh"
 #include "exp/sweep.hh"
@@ -55,6 +57,30 @@ TEST(Determinism, JsonByteIdenticalAcrossThreadCounts)
     const std::string csv1 = runWithThreads(grid, 1).toCsv();
     const std::string csv4 = runWithThreads(grid, 4).toCsv();
     EXPECT_EQ(csv1, csv4);
+}
+
+// Chaos pairs run on the sweep engine's pool too: the report is a pure
+// function of the grid and preset, whatever the thread count.
+TEST(Determinism, ChaosReportByteIdenticalAcrossThreadCounts)
+{
+    const exp::Grid full = exp::namedGrid("quick", exp::Scale::Quick);
+    exp::Grid grid{full.name, {}};
+    // Every third point of the cheap Relax and Psim pairs: five pairs
+    // across five models.
+    for (std::size_t i = 0; i < full.points.size(); i += 3) {
+        const std::string &benchmark = full.points[i].benchmark;
+        if (benchmark == "Relax" || benchmark == "Psim")
+            grid.points.push_back(full.points[i]);
+    }
+    auto report = [&](unsigned threads) {
+        exp::ChaosOptions opts;
+        opts.threads = threads;
+        opts.progress = false;
+        return exp::runChaos(grid, opts);
+    };
+    const exp::ChaosReport serial = report(1);
+    EXPECT_TRUE(serial.ok()) << serial.summary();
+    EXPECT_EQ(serial.toJson().dump(), report(4).toJson().dump());
 }
 
 TEST(Determinism, RepeatedPointIsBitIdentical)

@@ -28,31 +28,20 @@ using namespace mcsim;
 namespace
 {
 
-/** Build, run, and return the machine for one sweep point (the pieces of
- *  workloads::runWorkload, kept apart so tests can inspect the machine). */
+/** One sweep point run through workloads::runWorkload; holds the
+ *  workload so it outlives the machine the tests inspect. */
 struct PointRun
 {
     std::unique_ptr<workloads::Workload> workload;
-    std::unique_ptr<core::Machine> machine;
-    Tick last = 0;
+    workloads::RunResult run;
 
     explicit PointRun(const exp::SweepPoint &point,
-                      bool with_tracer = false)
+                      const obs::ObsConfig &obs = {})
         : workload(point.makeWorkload())
     {
         core::MachineConfig cfg = point.machineConfig();
-        if (!workload->dataRaceFree())
-            cfg.check.races = false;
-        cfg.obs.tracer = with_tracer;
-        machine = std::make_unique<core::Machine>(cfg);
-        workload->setup(*machine);
-        last = machine->run();
-        workload->verify(*machine);
-    }
-
-    core::RunMetrics metrics() const
-    {
-        return core::RunMetrics::fromMachine(*machine, last);
+        cfg.obs = obs;
+        run = workloads::runWorkload(*workload, cfg);
     }
 };
 
@@ -75,15 +64,16 @@ TEST(StallAttribution, QuickGridTilesEveryCycleExactly)
     const exp::Grid grid = exp::namedGrid("quick", exp::Scale::Quick);
     ASSERT_FALSE(grid.points.empty());
     for (const exp::SweepPoint &point : grid.points) {
-        const PointRun run(point);
+        const PointRun point_run(point);
+        const workloads::RunResult &run = point_run.run;
         for (unsigned p = 0; p < run.machine->numProcs(); ++p) {
             const auto &ps = run.machine->proc(p).stats();
             EXPECT_EQ(ps.breakdown.accounted(), ps.finishedAt)
                 << point.id() << " proc " << p;
         }
-        const core::RunMetrics m = run.metrics();
+        const core::RunMetrics &m = run.metrics;
         EXPECT_EQ(m.breakdown.accounted() + m.idleCycles,
-                  static_cast<std::uint64_t>(run.last) *
+                  static_cast<std::uint64_t>(m.cycles) *
                       run.machine->numProcs())
             << point.id();
         EXPECT_GT(m.breakdown.busyCycles, 0u) << point.id();
@@ -100,7 +90,7 @@ TEST(StallAttribution, Sc1SyncShareAtLeastRcOnPsim)
             "Psim", model, exp::Scale::Quick, /*big_cache=*/false,
             /*line_bytes=*/16, /*procs=*/8);
         point.seed = point.derivedSeed();
-        const core::RunMetrics m = PointRun(point).metrics();
+        const core::RunMetrics m = PointRun(point).run.metrics;
         const std::uint64_t accounted = m.breakdown.accounted();
         EXPECT_GT(accounted, 0u);
         return static_cast<double>(syncStall(m.breakdown)) /
@@ -202,6 +192,18 @@ TEST(Tracer, RingKeepsNewestAndCountsDrops)
     EXPECT_EQ(expect_id, 6u);
 }
 
+// The ring grows on demand, so a capacity no host could allocate up
+// front costs only what is recorded.
+TEST(Tracer, HugeCapacityAllocatesOnDemand)
+{
+    obs::Tracer tracer(SIZE_MAX);
+    for (std::uint32_t i = 0; i < 3; ++i)
+        tracer.span(obs::Track::Proc, i, obs::SpanKind::Busy, i, 1);
+    EXPECT_EQ(tracer.capacity(), SIZE_MAX);
+    EXPECT_EQ(tracer.size(), 3u);
+    EXPECT_EQ(tracer.dropped(), 0u);
+}
+
 TEST(Tracer, DisarmedSpanRecordsNothing)
 {
     obs::Tracer tracer(8);
@@ -264,8 +266,10 @@ TEST(Tracer, MachineWiresAllTracks)
         /*line_bytes=*/16, /*procs=*/8);
     point.seed = point.derivedSeed();
 
-    const PointRun traced(point, /*with_tracer=*/true);
-    const obs::Tracer *tracer = traced.machine->tracer();
+    obs::ObsConfig wired;
+    wired.tracer = true;
+    const PointRun traced(point, wired);
+    const obs::Tracer *tracer = traced.run.machine->tracer();
     ASSERT_NE(tracer, nullptr);
     EXPECT_GT(tracer->size(), 0u);
     bool seen[obs::numTracks] = {};
@@ -275,24 +279,19 @@ TEST(Tracer, MachineWiresAllTracks)
     for (unsigned t = 0; t < obs::numTracks; ++t) {
         EXPECT_TRUE(seen[t]) << obs::trackName(static_cast<obs::Track>(t));
     }
-    const StatSet stats = traced.machine->collectStats();
+    const StatSet stats = traced.run.machine->collectStats();
     EXPECT_TRUE(stats.has("obs.trace_events"));
 
-    exp::SweepPoint disarmed_point = point;
-    PointRun disarmed(disarmed_point);
-    core::MachineConfig cfg = disarmed_point.machineConfig();
-    cfg.obs.tracer = true;
-    cfg.obs.tracerArmed = false;
-    auto workload = disarmed_point.makeWorkload();
-    core::Machine machine(cfg);
-    workload->setup(machine);
-    const Tick last = machine.run();
-    ASSERT_NE(machine.tracer(), nullptr);
-    EXPECT_EQ(machine.tracer()->size(), 0u);
-    const auto m = core::RunMetrics::fromMachine(machine, last);
+    const PointRun absent(point);
+    wired.tracerArmed = false;
+    const PointRun disarmed(point, wired);
+    ASSERT_NE(disarmed.run.machine->tracer(), nullptr);
+    EXPECT_EQ(disarmed.run.machine->tracer()->size(), 0u);
+    const core::RunMetrics &m = disarmed.run.metrics;
     EXPECT_EQ(m.breakdown.accounted() + m.idleCycles,
-              static_cast<std::uint64_t>(last) * machine.numProcs());
+              static_cast<std::uint64_t>(m.cycles) *
+                  disarmed.run.machine->numProcs());
     // Identical timing with the tracer armed, disarmed, or absent.
-    EXPECT_EQ(last, traced.last);
-    EXPECT_EQ(last, disarmed.last);
+    EXPECT_EQ(m.cycles, traced.run.metrics.cycles);
+    EXPECT_EQ(m.cycles, absent.run.metrics.cycles);
 }

@@ -191,28 +191,22 @@ main(int argc, char **argv)
     const Options opt = parseArgs(argc, argv);
 
     std::unique_ptr<workloads::Workload> workload;
-    std::unique_ptr<core::Machine> machine;
-    Tick last = 0;
+    workloads::RunResult run;
     try {
         workload = opt.point.makeWorkload();
         core::MachineConfig cfg = opt.point.machineConfig();
-        if (!workload->dataRaceFree())
-            cfg.check.races = false;
         if (!opt.tracePath.empty()) {
             cfg.obs.tracer = true;
             cfg.obs.tracerEvents = opt.traceCapacity;
         }
-        machine = std::make_unique<core::Machine>(cfg);
-        workload->setup(*machine);
-        last = machine->run();
-        workload->verify(*machine);
+        run = workloads::runWorkload(*workload, cfg);
     } catch (const FatalError &err) {
         std::fprintf(stderr, "%s\n", err.what());
         return 2;
     }
-
-    const core::RunMetrics m =
-        core::RunMetrics::fromMachine(*machine, last);
+    const core::Machine *machine = run.machine.get();
+    const core::RunMetrics &m = run.metrics;
+    const Tick last = m.cycles;
 
     // The attribution identity, per processor and machine-wide.
     bool identity_ok = true;

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "axiom/axiom_checker.hh"
 #include "core/machine.hh"
 #include "exp/grid.hh"
 #include "exp/json.hh"
@@ -260,7 +259,7 @@ runRecord(const Options &opt)
     return 0;
 }
 
-/** One replay run (mirrors exp::SweepRunner::runPoint's check wiring). */
+/** One replay run through workloads::runWorkload. */
 workloads::RunResult
 replayOnce(trace::TraceWorkload &workload, core::Model model,
            const Options &opt)
@@ -274,23 +273,13 @@ replayOnce(trace::TraceWorkload &workload, core::Model model,
     cfg.loadDelay = opt.delay ? opt.delay : 4;
     cfg.branchDelay = cfg.loadDelay;
     // Coherence/ordering auditors stay on (repo default); --check adds
-    // the axiomatic trace recorder + post-run check on top.
+    // the axiomatic trace recorder + post-run check on top. Traces are
+    // traffic, not DRF programs, so runWorkload turns the race detector
+    // off.
     cfg.trace.record = opt.check;
-    cfg.check.races = false;  // traces are traffic, not DRF programs
-
-    core::Machine machine(cfg);
-    workload.setup(machine);
-    const Tick last = machine.run();
-    workload.verify(machine);
-    if (axiom::TraceRecorder *rec = machine.traceRecorder()) {
-        const axiom::AxiomResult verdict =
-            axiom::checkTrace(rec->finish(), cfg.modelParams());
-        if (!verdict.ok)
-            fatal("axiomatic trace rejected: %s", verdict.message.c_str());
-    }
-    workloads::RunResult result;
-    result.metrics = core::RunMetrics::fromMachine(machine, last);
-    result.stats = machine.collectStats();
+    workloads::RunResult result = workloads::runWorkload(workload, cfg);
+    if (result.axiom && !result.axiom->ok)
+        fatal("axiomatic trace rejected: %s", result.axiom->message.c_str());
     return result;
 }
 
